@@ -1,7 +1,7 @@
 """dualrel benchmark runner.
 
-    python3 bench/run.py --workload train_full --seed 1 --seconds 25 --trace 0
-    python3 bench/run.py --all --seed 1 --seconds 25 [--out results.json]
+    python3 bench/run.py --workload train_full --seed 1 --seconds 28 --trace 0
+    python3 bench/run.py --all --seed 1 --seconds 28 [--out results.json]
 
 Run from the repository root. One workload runs in one process, with one
 OpenBLAS thread and `DUALREL_WORKERS` unset. With `--trace 0` the last line of
@@ -91,60 +91,84 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def timed_setup(workload, repeats):
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        workload.setup()
-        times.append(time.perf_counter() - started)
-    return times
-
-
-def run_unit(workload, ledger, units, tracer=None):
+def run_unit(workload, ledger, watch, tracer=None):
     """One unit, traced when a tracer is given, then its checks untraced.
 
-    A unit that raised is recorded as a failure and not kept.
+    Returns the unit's outputs, or None when it raised: that is recorded as a
+    failure.
     """
     failed_before = ledger.failed
     try:
         with tracer.installed() if tracer else contextlib.nullcontext():
-            out = workload.unit(ledger)
+            out = workload.unit(ledger, watch)
         workload.check(out, ledger)
     except Exception as exc:  # the run goes on and reports the failure
         if ledger.failed == failed_before:
             ledger.fail(ledger.attempt("unit"), f"raised {type(exc).__name__}: {exc}")
-        return
-    units.append(out)
+        return None
+    return out
 
 
 def run_untraced(workload, ledger, seconds):
+    """Timed set-ups, then units until `seconds` have passed.
+
+    The gated times are host-scaled (see hostspeed.py): each set-up and each
+    timed piece of a unit is scaled by kernel samples taken right before and
+    right after it. The detail record keeps the wall-clock medians beside them.
+    """
+    from hostspeed import Stopwatch
     from tracing import installed_wrappers
     from workloads import END_TO_END_UNITS
 
-    setup_times = timed_setup(workload, workload.setup_repeats)
+    watch = Stopwatch()
+    setups = []
+    for _ in range(workload.setup_repeats):
+        setups.append({})
+        with watch.piece(setups[-1], "setup_s"):
+            workload.setup()
     units, attempts = [], 0
     started = time.perf_counter()
     while attempts < MIN_UNITS or time.perf_counter() - started < seconds:
         attempts += 1
-        run_unit(workload, ledger, units)
+        out = run_unit(workload, ledger, watch)
+        if out is not None:
+            units.append(out)
     op = ledger.attempt("untraced")
     leftover = installed_wrappers()
     ledger.check(op, not leftover, f"span wrappers installed: {leftover}")
     if not units:
         return None, {}
-    metrics, named = workload.summarize(units)
-    metrics["setup_s"] = statistics.median(setup_times)
-    metrics["peak_rss_mb"] = peak_rss_mb()
+
+    def median(values):
+        return statistics.median(list(values))
+
+    def unit_s(kind):
+        return median(workload.unit_time(u[kind]) for u in units)
+
+    metrics = {
+        "setup_s": median(s["scaled"]["setup_s"] for s in setups),
+        "unit_s": unit_s("scaled"),
+        "rate_per_s": median(workload.rate_of(u["scaled"]) for u in units),
+        "peak_rss_mb": peak_rss_mb(),
+    }
     metrics = {k: (v, END_TO_END_UNITS[k]) for k, v in metrics.items()}
-    named["setup_runs_s"] = (setup_times, "s")
-    named["rate_per_unit"] = ([workload.rate_of(u) for u in units], "1/s")
+    named = workload.summarize(units)
+    named["wall_setup_s"] = (median(s["wall"]["setup_s"] for s in setups), "s")
+    named["wall_unit_s"] = (unit_s("wall"), "s")
+    named["wall_rate_per_s"] = (median(workload.rate_of(u["wall"]) for u in units), "1/s")
+    named["host_scale"] = (metrics["unit_s"][0] / named["wall_unit_s"][0], "ratio")
+    named["setup_runs_s"] = ([s["wall"]["setup_s"] for s in setups], "s")
+    named["rate_per_unit"] = ([workload.rate_of(u["wall"]) for u in units], "1/s")
+    named["scaled_rate_per_unit"] = ([workload.rate_of(u["scaled"]) for u in units], "1/s")
     return metrics, named
 
 
 def run_traced(workload, ledger, seconds):
     """One traced set-up, then untraced and traced units in turn."""
+    from hostspeed import Stopwatch
     from tracing import LayerStats, Tracer, installed_wrappers, layer_metrics
 
+    watch = Stopwatch(sampler=None)
     tracer = Tracer()
     setup_stats, stats = LayerStats(tracer.names), LayerStats(tracer.names)
     with tracer.installed():
@@ -157,8 +181,10 @@ def run_traced(workload, ledger, seconds):
         op = ledger.attempt("untraced")
         leftover = installed_wrappers()
         ledger.check(op, not leftover, f"span wrappers installed: {leftover}")
-        run_unit(workload, ledger, plain)
-        run_unit(workload, ledger, traced, tracer)
+        for units, unit_tracer in ((plain, None), (traced, tracer)):
+            out = run_unit(workload, ledger, watch, unit_tracer)
+            if out is not None:
+                units.append(out)
         records, sizes = tracer.take()
         op = ledger.attempt("trace_self_time")
         mismatched = stats.add(records, sizes)
@@ -172,8 +198,8 @@ def run_traced(workload, ledger, seconds):
     if not traced or not plain:
         return None, {}
     overhead = (
-        statistics.median(workload.rate_of(u) for u in traced)
-        / statistics.median(workload.rate_of(u) for u in plain)
+        statistics.median(workload.rate_of(u["wall"]) for u in traced)
+        / statistics.median(workload.rate_of(u["wall"]) for u in plain)
     )
     return layer_metrics(tracer.spans, setup_stats, stats, len(traced), overhead), {
         "units_traced": (len(traced), "count"),
@@ -274,7 +300,7 @@ def main():
     parser.add_argument("--workload")
     parser.add_argument("--all", action="store_true", help="run every workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="with --all: write every result to this JSON file")
     args = parser.parse_args()

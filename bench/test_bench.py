@@ -162,3 +162,39 @@ def test_benchmark_json_lists_every_metric_the_runs_print():
         (name, unit) for name, (_, unit) in printed.items()
     ]
     assert {m["name"]: m["unit"] for m in bench["end_to_end"]} == END_TO_END_UNITS
+
+
+def test_stopwatch_scales_each_piece_by_the_samples_around_it():
+    from hostspeed import REFERENCE_S, Stopwatch
+
+    samples = iter([REFERENCE_S, REFERENCE_S, 2 * REFERENCE_S, 2 * REFERENCE_S])
+    watch = Stopwatch(sampler=lambda: next(samples), clock=FakeClock())
+    out = {}
+    with watch.piece(out, "a"):  # samples before and after: host at reference speed
+        pass
+    with watch.piece(out, "b"):  # host slows to half speed across the piece
+        pass
+    with watch.piece(out, "c"):  # at half speed throughout
+        pass
+    assert out["wall"] == {"a": 1.0, "b": 1.0, "c": 1.0}
+    assert out["scaled"] == pytest.approx({"a": 1.0, "b": 1 / 1.5, "c": 0.5})
+    assert next(samples, None) is None  # one sample between pieces, not two
+
+
+def test_stopwatch_without_sampler_keeps_wall_times_only():
+    from hostspeed import Stopwatch
+
+    out = {}
+    with Stopwatch(sampler=None, clock=FakeClock()).piece(out, "a"):
+        pass
+    assert out == {"wall": {"a": 1.0}}
+
+
+def test_piece_that_raises_records_nothing():
+    from hostspeed import Stopwatch
+
+    out = {}
+    with pytest.raises(ValueError):
+        with Stopwatch(sampler=lambda: 1.0, clock=FakeClock()).piece(out, "a"):
+            raise ValueError("unit failed")
+    assert out == {}

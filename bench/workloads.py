@@ -5,10 +5,13 @@ that the runner repeats for the measured time, and checks on every unit's
 outputs. Units call dualrel through module attributes (`training.train`,
 `cli.run_command`, ...), so a traced run sees every call.
 
-Every workload reports the same end-to-end metrics: `unit_s`, the wall time
-of one unit, and `rate_per_s`, the unit's throughput. The
-workload-specific figures named in the README (`train_it_per_s`, `eval_s`,
-the per-command times, `mr_at_20`, ...) go into the run's detail record.
+A unit times its pieces with the runner's `hostspeed.Stopwatch`, which
+keeps each piece's wall time and, in untraced runs, its host-scaled time.
+Every workload reports the same end-to-end metrics, from `unit_time` (the
+time of one unit) and `rate_of` (the unit's throughput), applied to either.
+The workload-specific figures named in the README (`train_it_per_s`,
+`eval_s`, the per-command times, `mr_at_20`, ...) come from `summarize` and
+go into the run's detail record as measured.
 """
 
 import contextlib
@@ -22,7 +25,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -116,7 +118,7 @@ def recalls_ok(report):
 class TrainWorkload:
     """Train on the default dataset, then one evaluate at K = 20, 50, 100."""
 
-    setup_repeats = 5
+    setup_repeats = 7
 
     def __init__(self, seed, workdir, flags, absent_spans=()):
         self.seed = seed
@@ -141,19 +143,15 @@ class TrainWorkload:
             seed=self.cfg.seed,
         )
 
-    def unit(self, ledger):
+    def unit(self, ledger, watch):
         model = copy.deepcopy(self.initial)
         out = {"model": model}
         op = out["train_op"] = ledger.attempt("train")
-        with ledger.running(op):
-            started = time.perf_counter()
+        with ledger.running(op), watch.piece(out, "train_s"):
             out["log"] = training.train(self.cfg, self.vocab, self.train_split, model)
-            out["train_s"] = time.perf_counter() - started
         op = out["eval_op"] = ledger.attempt("evaluate")
-        with ledger.running(op):
-            started = time.perf_counter()
+        with ledger.running(op), watch.piece(out, "eval_s"):
             out["report"] = training.evaluate(model, self.test_split, self.vocab, KS)
-            out["eval_s"] = time.perf_counter() - started
         return out
 
     def check(self, out, ledger):
@@ -182,27 +180,27 @@ class TrainWorkload:
         del out["model"], out["log"]
 
     def summarize(self, units):
-        rate = statistics.median(self.rate_of(u) for u in units)
         mr, many = units[-1]["quality"]
         return {
-            "unit_s": statistics.median(u["train_s"] + u["eval_s"] for u in units),
-            "rate_per_s": rate,
-        }, {
-            "train_it_per_s": (rate, "1/s"),
-            "eval_s": (statistics.median(u["eval_s"] for u in units), "s"),
+            "train_it_per_s": (statistics.median(self.rate_of(u["wall"]) for u in units), "1/s"),
+            "eval_s": (statistics.median(u["wall"]["eval_s"] for u in units), "s"),
             "mr_at_20": (mr, "ratio"),
             "many_recall_at_20": (many, "ratio"),
         }
 
     @staticmethod
-    def rate_of(out):
-        return TRAIN_ITERATIONS / out["train_s"]
+    def unit_time(times):
+        return times["train_s"] + times["eval_s"]
+
+    @staticmethod
+    def rate_of(times):
+        return TRAIN_ITERATIONS / times["train_s"]
 
 
 class CliWorkload:
     """generate -> train -> eval -> report through `cli.run_command`."""
 
-    setup_repeats = 5
+    setup_repeats = 7
     absent_spans = ()
 
     def __init__(self, seed, workdir):
@@ -231,7 +229,7 @@ class CliWorkload:
         with open(self.train_cfg, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def unit(self, ledger):
+    def unit(self, ledger, watch):
         root = tempfile.mkdtemp(dir=self.workdir)
         data, run = os.path.join(root, "data"), os.path.join(root, "run")
         report, summary = os.path.join(root, "report.txt"), os.path.join(root, "summary.txt")
@@ -246,13 +244,10 @@ class CliWorkload:
         for name, argv in commands.items():
             op = out["ops"][name] = ledger.attempt(name)
             sink = io.StringIO()
-            with ledger.running(op):
-                started = time.perf_counter()
+            with ledger.running(op), watch.piece(out, f"{name}_cmd_s"):
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     out["codes"][name] = cli.run_command(argv)
-                out[f"{name}_cmd_s"] = time.perf_counter() - started
             out["errors"][name] = sink.getvalue()[-300:]
-        out["pipeline_s"] = sum(out[f"{name}_cmd_s"] for name in commands)
         return out
 
     def check(self, out, ledger):
@@ -308,20 +303,22 @@ class CliWorkload:
         names = ("generate", "train", "eval", "report")
         mr, many = next((u["quality"] for u in units if "quality" in u), (None, None))
         detail = {
-            f"{name}_cmd_s": (statistics.median(u[f"{name}_cmd_s"] for u in units), "s")
+            f"{name}_cmd_s": (statistics.median(u["wall"][f"{name}_cmd_s"] for u in units), "s")
             for name in names
         }
-        detail["pipeline_s"] = (statistics.median(u["pipeline_s"] for u in units), "s")
+        detail["pipeline_s"] = (statistics.median(self.unit_time(u["wall"]) for u in units), "s")
         detail["mr_at_20"] = (mr, "ratio")
         detail["many_recall_at_20"] = (many, "ratio")
-        return {
-            "unit_s": statistics.median(u["pipeline_s"] for u in units),
-            "rate_per_s": statistics.median(self.rate_of(u) for u in units),
-        }, detail
+        return detail
 
-    def rate_of(self, out):
+    @staticmethod
+    def unit_time(times):
+        """`pipeline_s`: the four commands together."""
+        return sum(times.values())
+
+    def rate_of(self, times):
         """Dataset relations per second through the whole chain."""
-        return self.relations / out["pipeline_s"]
+        return self.relations / self.unit_time(times)
 
 
 def read_report(path):
@@ -408,14 +405,12 @@ class GradcheckWorkload:
             + ctx.mu * kd / ctx.n_relations
         )
 
-    def unit(self, ledger):
+    def unit(self, ledger, watch):
         out = {"op": ledger.attempt("grad_check")}
         before = self.evals
-        with ledger.running(out["op"]):
-            started = time.perf_counter()
+        with ledger.running(out["op"]), watch.piece(out, "check_s"):
             out["error"] = numerics.grad_check(self.loss, self.model.store, names=self.names)
-            out["check_s"] = time.perf_counter() - started
-        out["evals"] = self.evals - before
+        self.evals_per_check = self.evals - before
         return out
 
     def check(self, out, ledger):
@@ -425,19 +420,18 @@ class GradcheckWorkload:
         )
 
     def summarize(self, units):
-        rate = statistics.median(self.rate_of(u) for u in units)
         return {
-            "unit_s": statistics.median(u["check_s"] for u in units),
-            "rate_per_s": rate,
-        }, {
-            "gradcheck_evals_per_s": (rate, "1/s"),
+            "gradcheck_evals_per_s": (statistics.median(self.rate_of(u["wall"]) for u in units), "1/s"),
             "gradcheck_max_rel_error": (units[-1]["error"], "ratio"),
             "gradcheck_elements": (sum(self.model.store[n].size for n in self.names), "count"),
         }
 
     @staticmethod
-    def rate_of(out):
-        return out["evals"] / out["check_s"]
+    def unit_time(times):
+        return times["check_s"]
+
+    def rate_of(self, times):
+        return self.evals_per_check / times["check_s"]
 
 
 WORKLOADS = {
