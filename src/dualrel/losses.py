@@ -1,12 +1,13 @@
 """Training objectives.
 
 Per-instance ops return (loss, gradient) pairs with hand-derived gradients;
-``*_rows`` variants apply the same computation to a batch of logit rows and
-are what the training loop calls (they are asserted bitwise-equal to the
-per-instance forms in the tests). The distillation loss is restricted to
-head predicates: both distributions are renormalized softmaxes over the
-head indices only, which keeps the Gibbs bound (loss >= teacher entropy)
-exact and testable.
+``*_rows`` variants apply the same computation to every row of an (n, C)
+logit matrix or of a (G, n, C) stack of them, and are what the training
+loop calls (they are asserted bitwise-equal to the per-instance forms in
+the tests, and a stack gives each image's rows the bits of its own
+matrix). The distillation loss is restricted to head predicates: both
+distributions are renormalized softmaxes over the head indices only, which
+keeps the Gibbs bound (loss >= teacher entropy) exact and testable.
 """
 
 from dataclasses import dataclass
@@ -30,16 +31,15 @@ def cross_entropy(logits, label):
 
 
 def cross_entropy_rows(logits, labels):
-    """Row-batched cross_entropy: returns (loss vector, grad matrix)."""
+    """Row-batched cross_entropy: returns (per-row losses, grads like logits)."""
     z = as_array(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= z.shape[1]):
+    if np.any(labels < 0) or np.any(labels >= z.shape[-1]):
         raise ValueError("label out of range")
-    logp = log_softmax(z, axis=1)
-    rows = np.arange(z.shape[0])
-    losses = -logp[rows, labels]
-    grads = np.exp(logp)
-    grads[rows, labels] -= 1.0
+    logp = log_softmax(z, axis=-1)
+    target = labels[..., None] == np.arange(z.shape[-1])
+    losses = -logp[target].reshape(labels.shape)
+    grads = np.exp(logp) - target
     return losses, grads
 
 
@@ -87,7 +87,7 @@ def curriculum_cross_entropy_rows(logits, labels, class_weights, lambda_rows):
     """Row-batched curriculum_cross_entropy; lambda_rows is one weight per row."""
     losses, grads = cross_entropy_rows(logits, labels)
     scale = np.asarray(lambda_rows, dtype=np.float64) * class_weights[np.asarray(labels)]
-    return scale * losses, scale[:, None] * grads
+    return scale * losses, scale[..., None] * grads
 
 
 def head_distillation_loss(teacher_logits, student_logits, tau, head_indices):
@@ -117,7 +117,7 @@ def head_distillation_loss(teacher_logits, student_logits, tau, head_indices):
 
 
 def head_distillation_rows(teacher_logits, student_logits, tau, head_indices):
-    """Row-batched head_distillation_loss: (loss vector, grad matrix)."""
+    """Row-batched head_distillation_loss: (per-row losses, grads like logits)."""
     head_indices = np.asarray(head_indices, dtype=np.int64)
     if head_indices.shape[0] < 2:
         raise ConfigurationError(
@@ -126,13 +126,13 @@ def head_distillation_rows(teacher_logits, student_logits, tau, head_indices):
         )
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    zt = as_array(teacher_logits)[:, head_indices] / tau
-    zs = as_array(student_logits)[:, head_indices] / tau
-    p = softmax(zt, axis=1)
-    logq = log_softmax(zs, axis=1)
-    losses = -np.sum(p * logq, axis=1)
+    zt = as_array(teacher_logits)[..., head_indices] / tau
+    zs = as_array(student_logits)[..., head_indices] / tau
+    p = softmax(zt, axis=-1)
+    logq = log_softmax(zs, axis=-1)
+    losses = -np.sum(p * logq, axis=-1)
     grads = np.zeros_like(as_array(student_logits))
-    grads[:, head_indices] = (np.exp(logq) - p) / tau
+    grads[..., head_indices] = (np.exp(logq) - p) / tau
     return losses, grads
 
 

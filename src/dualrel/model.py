@@ -9,6 +9,7 @@ frozen subject-object prior-bias slice to their logits. The extractor is a
 single set of parameters, so sharing between branches is by construction.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -89,7 +90,6 @@ class DualBranchModel:
 
 def instance_matrix(model, instances):
     """Stack instances into the extractor input matrix, validating dims."""
-    rows = []
     for inst in instances:
         if inst.subject_feature.shape[0] != model.feature_dim:
             raise ValueError(
@@ -100,22 +100,26 @@ def instance_matrix(model, instances):
             raise ValueError(
                 "label distribution width does not match the model's object classes"
             )
-        rows.append(
-            np.concatenate(
-                [
-                    inst.subject_feature,
-                    inst.object_feature,
-                    inst.union_feature,
-                    inst.subject_label_dist,
-                    inst.object_label_dist,
-                ]
+    return np.concatenate(
+        [
+            np.array([getattr(inst, field) for inst in instances])
+            for field in (
+                "subject_feature",
+                "object_feature",
+                "union_feature",
+                "subject_label_dist",
+                "object_label_dist",
             )
-        )
-    return np.asarray(rows)
+        ],
+        axis=-1,
+    )
 
 
 def extractor_forward(model, x):
-    """Shared extractor: linear -> relu -> linear. Returns (h, cache)."""
+    """Shared extractor: linear -> relu -> linear. Returns (h, cache).
+
+    x is one image's (n, input_dim) matrix or a (G, n, input_dim) stack.
+    """
     store = model.store
     pre = linear_forward(x, store["extractor.l1.w"], store["extractor.l1.b"])
     hidden = relu(pre)
@@ -132,9 +136,9 @@ def extractor_backward(model, cache, grad_h):
     store.accumulate("extractor.l2.w", gw2)
     store.accumulate("extractor.l2.b", gb2)
     grad_pre = relu_backward(cache["pre"], grad_hidden)
-    _, gw1, gb1 = linear_backward(cache["x"], store["extractor.l1.w"], grad_pre)
-    store.accumulate("extractor.l1.w", gw1)
-    store.accumulate("extractor.l1.b", gb1)
+    # the input rows are data: their gradient is never formed
+    store.accumulate("extractor.l1.w", np.swapaxes(cache["x"], -1, -2) @ grad_pre)
+    store.accumulate("extractor.l1.b", grad_pre.sum(axis=-2))
 
 
 def extract_features(model, instance):
@@ -144,14 +148,18 @@ def extract_features(model, instance):
 
 
 def _check_classes(model, subjects, objects):
-    for value in list(subjects) + list(objects):
-        if not 0 <= value <= model.num_object_classes:
-            raise ValueError(
-                f"object class {value} out of range [0, {model.num_object_classes}]"
-            )
+    classes = np.asarray([subjects, objects])
+    if classes.size and not (
+        0 <= classes.min() and classes.max() <= model.num_object_classes
+    ):
+        bad = classes[(classes < 0) | (classes > model.num_object_classes)]
+        raise ValueError(
+            f"object class {bad[0]} out of range [0, {model.num_object_classes}]"
+        )
 
 
 def prior_rows(model, subjects, objects):
+    """Prior-bias rows for class-id sequences, or (G, n) class-id arrays."""
     _check_classes(model, subjects, objects)
     return model.store["prior.table"][np.asarray(subjects), np.asarray(objects)]
 
@@ -171,6 +179,7 @@ def decode(model, branch, context, subject_class, object_class):
 
 
 def decode_rows(model, branch, contexts, subjects, objects):
+    """Branch logits for (n, hidden) context rows or a (G, n, hidden) stack."""
     store = model.store
     logits = linear_forward(
         contexts, store[f"decoder.{branch}.w"], store[f"decoder.{branch}.b"]
@@ -268,24 +277,51 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A file that ends early, holds bytes past its last parameter, or is
+    otherwise malformed raises one ValueError that names the path.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
-        version, feature_dim, hidden_dim, context_dim, n_pred, n_obj = struct.unpack(
-            "<6I", fh.read(24)
+        data = fh.read()
+    offset = 0
+
+    def take(size):
+        nonlocal offset
+        if offset + size > len(data):
+            raise ValueError(
+                f"{path}: truncated checkpoint ({len(data)} bytes; a read of "
+                f"{size} at byte {offset} runs past the end)"
+            )
+        offset += size
+        return data[offset - size : offset]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path} is not a model checkpoint")
+    version, feature_dim, hidden_dim, context_dim, n_pred, n_obj = unpack("<6I")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    (count,) = unpack("<I")
+    store = ParamStore()
+    for _ in range(count):
+        (name_len,) = unpack("<H")
+        raw = take(name_len)
+        trainable, ndim = unpack("<BB")
+        shape = unpack(f"<{ndim}I")
+        data_bytes = take(8 * math.prod(shape))
+        try:
+            name = raw.decode("utf-8")
+            values = np.frombuffer(data_bytes, dtype="<f8").astype(np.float64)
+            store.add(name, values.reshape(shape), trainable=bool(trainable))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if offset != len(data):
+        raise ValueError(
+            f"{path}: {len(data) - offset} trailing bytes after the last parameter"
         )
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        store = ParamStore()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            trainable, ndim = struct.unpack("<BB", fh.read(2))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").astype(np.float64)
-            store.add(name, data.reshape(shape), trainable=bool(trainable))
     return DualBranchModel(
         store=store,
         num_object_classes=n_obj,

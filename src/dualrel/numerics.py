@@ -58,13 +58,18 @@ def softmax_vjp(p, grad_p, axis=-1):
 
 
 def linear_forward(x, w, b):
-    """y = x @ w + b for x of shape (n, fan_in), w (fan_in, fan_out), b (fan_out,)."""
+    """y = x @ w + b for x of shape (n, fan_in) or (G, n, fan_in), w (fan_in,
+    fan_out), b (fan_out,)."""
     return x @ w + b
 
 
 def linear_backward(x, w, grad_y):
-    """Gradients of a linear layer: returns (grad_x, grad_w, grad_b)."""
-    return grad_y @ w.T, x.T @ grad_y, grad_y.sum(axis=0)
+    """Gradients of a linear layer: returns (grad_x, grad_w, grad_b).
+
+    For a (G, n, fan_in) stack, grad_w and grad_b are (G, ...) stacks of the
+    per-image gradients, which ``ParamStore.accumulate`` adds in stack order.
+    """
+    return grad_y @ w.T, np.swapaxes(x, -1, -2) @ grad_y, grad_y.sum(axis=-2)
 
 
 def relu(x):
@@ -129,13 +134,24 @@ class ParamStore:
             g.fill(0.0)
 
     def accumulate(self, name, grad):
+        """Add a gradient, or a (G, ...) stack of gradients one at a time.
+
+        A stack is added in order, so the buffer holds exactly what G
+        separate calls would leave. (``np.add.reduce`` over the stack does
+        not: for a one-element parameter and G >= 8 it sums pairwise.)
+        """
         buf = self._grads[name]
-        if np.shape(grad) != buf.shape:
+        shape = np.shape(grad)
+        if shape == buf.shape:
+            buf += grad
+        elif shape[1:] == buf.shape:
+            for g in grad:
+                buf += g
+        else:
             raise ValueError(
-                f"gradient shape {np.shape(grad)} does not match parameter "
+                f"gradient shape {shape} does not match parameter "
                 f"{name!r} of shape {buf.shape}"
             )
-        buf += grad
 
     def sgd_step(self, learning_rate):
         for name in self.trainable_names():

@@ -15,7 +15,19 @@ head is trained.
 The squared distance between the predicted and ground-truth contextual
 global tokens is the semantic-gap loss; the ground-truth side runs through
 the same parameters but is treated as a constant (no gradient flows
-through it).
+through it). Its triplet rows gather the ground-truth classes' embedding
+rows instead of multiplying one-hot rows by the tables, which gives the
+same bits.
+
+Every function takes one image, with rows of shape (n, ·), or a stack of G
+images with the same relation count, (G, n, ·). A stack runs each product
+as a stacked ``np.matmul``, so every image gets exactly the bits its own
+call would give, except in the projection backward. That works in class
+space: block b of the projection gets E_b.T @ (sum over the stack's images
+of dist_b.T @ grad_rows), with E_b the block's embedding table, and the
+predicate-distribution gradient is grad_rows @ T_p.T, with T_p = E_pred @
+W[200:400] the projected predicate table. Both differ from the 600-wide
+concatenated form only in the last bits.
 """
 
 from dataclasses import dataclass
@@ -95,48 +107,85 @@ def triplet_semantics(pred_dist, subj_dist, obj_dist, store):
 
 
 def triplet_semantics_rows(pred_dists, subj_dists, obj_dists, store):
-    """Batched triplet_semantics: returns (rows, cache for backward)."""
+    """Batched triplet_semantics: returns (rows, cache for backward).
+
+    The distributions are (n, ·) matrices or (G, n, ·) stacks.
+    """
     _check_distribution_rows("predicate distribution", pred_dists)
     _check_distribution_rows("subject label distribution", subj_dists)
     _check_distribution_rows("object label distribution", obj_dists)
     pred_emb = store["embedding.predicate"]
     obj_emb = store["embedding.object"]
-    concat = np.concatenate(
-        [subj_dists @ obj_emb, pred_dists @ pred_emb, obj_dists @ obj_emb], axis=1
-    )
-    rows = concat @ store["context.proj.w"]
-    return rows, concat
+    blocks = _triplet_blocks(pred_dists.shape[:-1])
+    np.matmul(subj_dists, obj_emb, out=blocks[..., 0, :])
+    np.matmul(pred_dists, pred_emb, out=blocks[..., 1, :])
+    np.matmul(obj_dists, obj_emb, out=blocks[..., 2, :])
+    return _project(blocks, store), (pred_dists, subj_dists, obj_dists)
 
 
-def triplet_semantics_rows_backward(concat, grad_rows, store):
-    """Accumulate projection gradients; return gradient wrt predicate dists."""
-    w = store["context.proj.w"]
-    store.accumulate("context.proj.w", concat.T @ grad_rows)
-    grad_concat = grad_rows @ w.T
-    pred_slice = grad_concat[:, EMBED_DIM : 2 * EMBED_DIM]
-    return pred_slice @ store["embedding.predicate"].T
+def _triplet_blocks(shape):
+    """Uninitialized subject, predicate and object embedding blocks.
+
+    Written in place, the three blocks make the 600-wide concatenation
+    without a temporary per block: at a stack's size such temporaries
+    cost more in fresh memory pages than their products cost in FLOPs.
+    """
+    return np.empty(shape + (3, EMBED_DIM))
+
+
+def _project(blocks, store):
+    """Triplet rows: the concatenated blocks times the projection."""
+    concat = blocks.reshape(blocks.shape[:-2] + (3 * EMBED_DIM,))
+    return concat @ store["context.proj.w"]
+
+
+def triplet_semantics_rows_backward(cache, grad_rows, store):
+    """Accumulate projection gradients; return gradient wrt predicate dists.
+
+    Works in class space (see the module docstring): a stack adds one
+    projection gradient, summed over its images.
+    """
+    pred_dists, subj_dists, obj_dists = cache
+    pred_emb = store["embedding.predicate"]
+    obj_emb = store["embedding.object"]
+    grad_flat = grad_rows.reshape(-1, grad_rows.shape[-1])
+    block_grads = [
+        table.T @ (dists.reshape(-1, dists.shape[-1]).T @ grad_flat)
+        for dists, table in (
+            (subj_dists, obj_emb), (pred_dists, pred_emb), (obj_dists, obj_emb)
+        )
+    ]
+    store.accumulate("context.proj.w", np.concatenate(block_grads))
+    pred_table = pred_emb @ store["context.proj.w"][EMBED_DIM : 2 * EMBED_DIM]
+    return grad_rows @ pred_table.T
 
 
 def global_token(rows):
     """Whole-graph semantic token: the arithmetic mean of the triplet rows."""
-    if rows.shape[0] < 1:
+    if rows.shape[-2] < 1:
         raise ValueError("global token needs at least one row")
-    return rows.mean(axis=0)
+    return rows.mean(axis=-2)
+
+
+def _with_global_token(rows):
+    """The rows with their global token appended as one more row."""
+    return np.concatenate([rows, global_token(rows)[..., None, :]], axis=-2)
 
 
 def encode_context(x, store):
     """One self-attention block over the rows of x; returns (y, cache).
 
-    No positional encoding: permuting input rows permutes output rows
-    identically (up to floating-point summation order).
+    x is (n, d) or a (G, n, d) stack, whose images attend only within
+    themselves. No positional encoding: permuting input rows permutes
+    output rows identically (up to floating-point summation order).
     """
-    d = x.shape[1]
+    d = x.shape[-1]
     scale = 1.0 / np.sqrt(d)
     q = linear_forward(x, store["context.attn.wq"], store["context.attn.bq"])
     k = x @ store["context.attn.wk"]
     v = linear_forward(x, store["context.attn.wv"], store["context.attn.bv"])
-    scores = (q @ k.T) * scale
-    attn = softmax(scores, axis=1)
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    attn = softmax(scores, axis=-1)
     heads = attn @ v
     out = linear_forward(heads, store["context.attn.wo"], store["context.attn.bo"])
     x1 = x + out
@@ -171,11 +220,11 @@ def encode_context_backward(cache, grad_y, store):
     )
     store.accumulate("context.attn.wo", gwo)
     store.accumulate("context.attn.bo", gbo)
-    grad_attn = grad_heads @ cache["v"].T
-    grad_v = cache["attn"].T @ grad_heads
-    grad_scores = softmax_vjp(cache["attn"], grad_attn, axis=1) * cache["scale"]
+    grad_attn = grad_heads @ np.swapaxes(cache["v"], -1, -2)
+    grad_v = np.swapaxes(cache["attn"], -1, -2) @ grad_heads
+    grad_scores = softmax_vjp(cache["attn"], grad_attn, axis=-1) * cache["scale"]
     grad_q = grad_scores @ cache["k"]
-    grad_k = grad_scores.T @ cache["q"]
+    grad_k = np.swapaxes(grad_scores, -1, -2) @ cache["q"]
     for grad, gate_w, gate_b in (
         (grad_q, "wq", "bq"),
         (grad_k, "wk", None),
@@ -193,20 +242,28 @@ def semantic_gap_loss(predicted_global, target_global):
     """Mean-squared gap between contextual global tokens: (loss, grad).
 
     The gradient is with respect to the predicted token only; the target is
-    a constant.
+    a constant. For (G, d) stacks of tokens the loss is a length-G array,
+    one gap per image.
     """
     predicted_global = np.asarray(predicted_global, dtype=np.float64)
     target_global = np.asarray(target_global, dtype=np.float64)
     if predicted_global.shape != target_global.shape:
         raise ValueError("global tokens must have equal dimensions")
-    d = predicted_global.shape[0]
+    d = predicted_global.shape[-1]
     diff = predicted_global - target_global
-    return float(np.sum(diff * diff) / d), (2.0 / d) * diff
+    losses = np.sum(diff * diff, axis=-1) / d
+    if losses.ndim == 0:
+        losses = float(losses)
+    return losses, (2.0 / d) * diff
 
 
 @dataclass
 class ContextResult:
-    """Forward bundle: logit corrections, gap loss, and backward caches."""
+    """Forward bundle: logit corrections, gap loss, and backward caches.
+
+    For a (G, n, ·) stack every array gains the leading G axis, and with a
+    target gap_loss is a length-G array.
+    """
 
     correction: np.ndarray
     gap_loss: float
@@ -215,37 +272,35 @@ class ContextResult:
     cache: dict
 
 
-def _one_hot_rows(indices, width):
-    rows = np.zeros((len(indices), width))
-    rows[np.arange(len(indices)), np.asarray(indices, dtype=np.int64)] = 1.0
-    return rows
-
-
 def target_global_token(gt_predicates, gt_subjects, gt_objects, store):
-    """Contextual global token of the ground-truth graph (constant path)."""
-    n_pred_rows = store["embedding.predicate"].shape[0]
-    n_obj_rows = store["embedding.object"].shape[0]
-    rows, _ = triplet_semantics_rows(
-        _one_hot_rows(gt_predicates, n_pred_rows),
-        _one_hot_rows(gt_subjects, n_obj_rows),
-        _one_hot_rows(gt_objects, n_obj_rows),
-        store,
-    )
-    stacked = np.vstack([rows, global_token(rows)])
-    encoded, _ = encode_context(stacked, store)
-    return encoded[-1]
+    """Contextual global token of the ground-truth graph (constant path).
+
+    The class ids are sequences of n, or (G, n) arrays for a stack.
+    """
+    pred_emb = store["embedding.predicate"]
+    obj_emb = store["embedding.object"]
+    subjects = np.asarray(gt_subjects, dtype=np.int64)
+    blocks = _triplet_blocks(subjects.shape)
+    blocks[..., 0, :] = obj_emb[subjects]
+    blocks[..., 1, :] = pred_emb[np.asarray(gt_predicates, dtype=np.int64)]
+    blocks[..., 2, :] = obj_emb[np.asarray(gt_objects, dtype=np.int64)]
+    encoded, _ = encode_context(_with_global_token(_project(blocks, store)), store)
+    return encoded[..., -1, :]
 
 
 def context_forward(fine_logits, subj_dists, obj_dists, store, ground_truth=None,
                     frozen_target=None):
     """Predicted-path forward: corrections for every relation plus gap loss.
 
-    ground_truth is an optional (gt_predicates, gt_subjects, gt_objects)
-    triple; when absent (inference) the gap loss is 0. frozen_target
-    bypasses the ground-truth recomputation with a precomputed constant
-    token, which is also how the gradient checks freeze the target.
+    fine_logits is one image's (n, C) matrix or a (G, n, C) stack, with the
+    label distributions and ground truth shaped to match. ground_truth is
+    an optional (gt_predicates, gt_subjects, gt_objects) triple; when
+    absent (inference) the gap loss is 0. frozen_target bypasses the
+    ground-truth recomputation with a precomputed constant token (a (G, d)
+    stack for a stack), which is also how the gradient checks freeze the
+    target.
     """
-    n = fine_logits.shape[0]
+    n = fine_logits.shape[-2]
     if n == 0:
         return ContextResult(
             correction=np.zeros_like(fine_logits),
@@ -254,14 +309,14 @@ def context_forward(fine_logits, subj_dists, obj_dists, store, ground_truth=None
             target_global=np.zeros(0),
             cache={},
         )
-    probs = softmax(fine_logits, axis=1)
-    rows, concat = triplet_semantics_rows(probs, subj_dists, obj_dists, store)
-    stacked = np.vstack([rows, global_token(rows)])
-    encoded, enc_cache = encode_context(stacked, store)
+    probs = softmax(fine_logits, axis=-1)
+    rows, triplet_cache = triplet_semantics_rows(probs, subj_dists, obj_dists, store)
+    encoded, enc_cache = encode_context(_with_global_token(rows), store)
     correction = linear_forward(
-        encoded[:n], store["context.classifier.w"], store["context.classifier.b"]
+        encoded[..., :n, :], store["context.classifier.w"],
+        store["context.classifier.b"],
     )
-    predicted_global = encoded[n]
+    predicted_global = encoded[..., n, :]
 
     if frozen_target is not None:
         target = np.asarray(frozen_target, dtype=np.float64)
@@ -279,7 +334,7 @@ def context_forward(fine_logits, subj_dists, obj_dists, store, ground_truth=None
     cache = {
         "n": n,
         "probs": probs,
-        "concat": concat,
+        "triplet": triplet_cache,
         "encoded": encoded,
         "enc_cache": enc_cache,
         "grad_global": grad_global,
@@ -300,13 +355,13 @@ def context_backward(result, grad_correction, grad_gap, store):
     encoded = cache["encoded"]
     grad_encoded = np.zeros_like(encoded)
     gin, gw, gb = linear_backward(
-        encoded[:n], store["context.classifier.w"], grad_correction
+        encoded[..., :n, :], store["context.classifier.w"], grad_correction
     )
     store.accumulate("context.classifier.w", gw)
     store.accumulate("context.classifier.b", gb)
-    grad_encoded[:n] = gin
-    grad_encoded[n] += grad_gap * cache["grad_global"]
+    grad_encoded[..., :n, :] = gin
+    grad_encoded[..., n, :] += grad_gap * cache["grad_global"]
     grad_stacked = encode_context_backward(cache["enc_cache"], grad_encoded, store)
-    grad_rows = grad_stacked[:n] + grad_stacked[n] / n
-    grad_probs = triplet_semantics_rows_backward(cache["concat"], grad_rows, store)
-    return softmax_vjp(cache["probs"], grad_probs, axis=1)
+    grad_rows = grad_stacked[..., :n, :] + grad_stacked[..., n:, :] / n
+    grad_probs = triplet_semantics_rows_backward(cache["triplet"], grad_rows, store)
+    return softmax_vjp(cache["probs"], grad_probs, axis=-1)

@@ -12,6 +12,13 @@ the fine branch only.
 Everything is deterministic given the config seed: batch sampling draws
 from a dedicated generator stream and gradients accumulate in a fixed
 order.
+
+A step splits its mini-batch into runs of consecutive images with the same
+relation count and runs every layer once per run, on (G, n, ·) stacks
+without padding. Each weight gradient is added to the store image by
+image in batch order and each loss sum in batch order, so a step gives
+the bits of a per-image loop, except along the set encoder's projection
+backward (see ``semantic_context``).
 """
 
 import os
@@ -141,26 +148,42 @@ class _BatchContext:
     frozen_targets: list = None
 
 
+def _runs(batch):
+    """(start, stop) of each run of consecutive images with equal sizes."""
+    start = 0
+    for stop in range(1, len(batch) + 1):
+        if stop == len(batch) or len(batch[stop]) != len(batch[start]):
+            yield start, stop
+            start = stop
+
+
 def batch_forward_backward(model, batch, ctx):
     """Forward and backward over one mini-batch of images.
 
     Accumulates gradients of the total objective into the model's store and
     returns the raw sums (ce, curriculum, gap, distillation) before
     normalization. The distillation teacher (coarse logits) and the gap
-    target are treated as constants.
+    target are treated as constants. Each run of equal-size images goes
+    through every layer as one (G, n, ·) stack.
     """
     store = model.store
     ce_sum = crm_sum = sc_sum = kd_sum = 0.0
-    for idx, image in enumerate(batch):
-        x = instance_matrix(model, image)
+    for start, stop in _runs(batch):
+        images = batch[start:stop]
+        shape = (len(images), len(images[0]))
+        flat = [inst for image in images for inst in image]
+        x = instance_matrix(model, flat).reshape(*shape, -1)
         h, ecache = extractor_forward(model, x)
-        subjects = [inst.subject_class for inst in image]
-        objects = [inst.object_class for inst in image]
-        labels = np.asarray([inst.gt_predicate for inst in image], dtype=np.int64)
+        subjects = np.asarray([inst.subject_class for inst in flat]).reshape(shape)
+        objects = np.asarray([inst.object_class for inst in flat]).reshape(shape)
+        labels = np.asarray(
+            [inst.gt_predicate for inst in flat], dtype=np.int64
+        ).reshape(shape)
 
         coarse = decode_rows(model, "coarse", h, subjects, objects)
         ce_losses, ce_grads = cross_entropy_rows(coarse, labels)
-        ce_sum += float(np.sum(ce_losses))
+        for losses in ce_losses:
+            ce_sum += float(np.sum(losses))
         grad_coarse = (ctx.alpha / ctx.n_relations) * ce_grads
 
         if ctx.coarse_only:
@@ -173,17 +196,23 @@ def batch_forward_backward(model, batch, ctx):
         if ctx.disable_context:
             output = fine
         else:
-            frozen = ctx.frozen_targets[idx] if ctx.frozen_targets else None
+            frozen = (
+                np.stack(ctx.frozen_targets[start:stop]) if ctx.frozen_targets
+                else None
+            )
+            subj_dists = np.asarray([inst.subject_label_dist for inst in flat])
+            obj_dists = np.asarray([inst.object_label_dist for inst in flat])
             result = context_forward(
                 fine,
-                np.asarray([inst.subject_label_dist for inst in image]),
-                np.asarray([inst.object_label_dist for inst in image]),
+                subj_dists.reshape(*shape, -1),
+                obj_dists.reshape(*shape, -1),
                 store,
                 ground_truth=(labels, subjects, objects),
                 frozen_target=frozen,
             )
             output = fine + result.correction
-            sc_sum += result.gap_loss
+            for gap in result.gap_loss:
+                sc_sum += float(gap)
 
         if ctx.disable_curriculum:
             crm_losses, crm_grads = cross_entropy_rows(output, labels)
@@ -192,15 +221,20 @@ def batch_forward_backward(model, batch, ctx):
             crm_losses, crm_grads = curriculum_cross_entropy_rows(
                 output, labels, ctx.class_weights, lambda_rows
             )
-        crm_sum += float(np.sum(crm_losses))
+        for losses in crm_losses:
+            crm_sum += float(np.sum(losses))
         grad_output = ((1.0 - ctx.alpha) / ctx.n_relations) * crm_grads
 
         if ctx.distillation_on:
-            teacher = ctx.frozen_teachers[idx] if ctx.frozen_teachers else coarse
+            teacher = (
+                np.stack(ctx.frozen_teachers[start:stop]) if ctx.frozen_teachers
+                else coarse
+            )
             kd_losses, kd_grads = head_distillation_rows(
                 teacher, output, ctx.tau, ctx.head_indices
             )
-            kd_sum += float(np.sum(kd_losses))
+            for losses in kd_losses:
+                kd_sum += float(np.sum(losses))
             grad_output = grad_output + (ctx.mu / ctx.n_relations) * kd_grads
 
         grad_fine = grad_output.copy()
@@ -214,30 +248,41 @@ def batch_forward_backward(model, batch, ctx):
     return ce_sum, crm_sum, sc_sum, kd_sum
 
 
-def _make_context(cfg, vocab, k, batch):
-    sched = cfg.schedule
-    alpha = 1.0 if cfg.coarse_only else branch_weight(k, sched)
-    lambda_head = head_predicate_weight(k, True, sched)
-    heads = np.asarray(head_set(vocab, sched.head_threshold), dtype=np.int64)
+def _constant_context(cfg, vocab):
+    """The fields of every iteration's _BatchContext that do not change."""
+    heads = np.asarray(head_set(vocab, cfg.schedule.head_threshold), dtype=np.int64)
     head_mask = np.zeros(vocab.num_predicates + 1, dtype=bool)
     head_mask[heads] = True
-    distillation_on = not (cfg.disable_distillation or cfg.coarse_only)
-    if distillation_on and cfg.distill_after_k1 and k <= sched.k1:
-        distillation_on = False
     return _BatchContext(
-        alpha=alpha,
-        lambda_head=lambda_head,
+        alpha=1.0,
+        lambda_head=1.0,
         class_weights=effective_number_weights(vocab.train_counts, cfg.beta_en),
         head_indices=heads,
         head_mask=head_mask,
         tau=cfg.tau,
         mu=cfg.mu,
-        n_relations=sum(len(image) for image in batch),
-        n_images=len(batch),
+        n_relations=0,
+        n_images=0,
         disable_curriculum=cfg.disable_curriculum,
         disable_context=cfg.disable_context,
         coarse_only=cfg.coarse_only,
-        distillation_on=distillation_on,
+    )
+
+
+def _make_context(cfg, constants, k, batch):
+    """Iteration k's _BatchContext: its schedule values and batch sizes."""
+    sched = cfg.schedule
+    return replace(
+        constants,
+        alpha=1.0 if cfg.coarse_only else branch_weight(k, sched),
+        lambda_head=head_predicate_weight(k, True, sched),
+        n_relations=sum(len(image) for image in batch),
+        n_images=len(batch),
+        distillation_on=not (
+            cfg.disable_distillation
+            or cfg.coarse_only
+            or (cfg.distill_after_k1 and k <= sched.k1)
+        ),
     )
 
 
@@ -257,8 +302,7 @@ def train(cfg, vocab, train_instances, model, eval_instances=None):
     images = relations_by_image(train_instances)
     if not images:
         raise ValueError("training split is empty")
-    # class weights and head set are constant across iterations; build once
-    template = _make_context(cfg, vocab, 1, images[:1])
+    constants = _constant_context(cfg, vocab)
     batch_rng = np.random.default_rng([cfg.seed, 1])
     log = TrainLog()
 
@@ -267,25 +311,14 @@ def train(cfg, vocab, train_instances, model, eval_instances=None):
             len(images), size=min(cfg.batch_size, len(images)), replace=False
         )
         batch = [images[i] for i in chosen]
-        alpha = 1.0 if cfg.coarse_only else branch_weight(k, sched)
-        distillation_on = not (cfg.disable_distillation or cfg.coarse_only)
-        if distillation_on and cfg.distill_after_k1 and k <= sched.k1:
-            distillation_on = False
-        ctx = replace(
-            template,
-            alpha=alpha,
-            lambda_head=head_predicate_weight(k, True, sched),
-            n_relations=sum(len(image) for image in batch),
-            n_images=len(batch),
-            distillation_on=distillation_on,
-        )
+        ctx = _make_context(cfg, constants, k, batch)
         model.store.zero_grads()
         ce_sum, crm_sum, sc_sum, kd_sum = batch_forward_backward(model, batch, ctx)
         l_ce = ce_sum / ctx.n_relations
         l_crm = crm_sum / ctx.n_relations
         l_sc = sc_sum / ctx.n_images
         l_kd = kd_sum / ctx.n_relations
-        l_hybrid = hybrid_loss(alpha, l_ce, l_crm)
+        l_hybrid = hybrid_loss(ctx.alpha, l_ce, l_crm)
         l_total = total_loss(l_hybrid, l_sc, l_kd, cfg.mu)
         for name, value in (
             ("l_ce", l_ce), ("l_crm", l_crm), ("l_sc", l_sc),
@@ -298,7 +331,9 @@ def train(cfg, vocab, train_instances, model, eval_instances=None):
             log.entries.append(
                 LogEntry(
                     k,
-                    LossBreakdown(l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total, alpha),
+                    LossBreakdown(
+                        l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total, ctx.alpha
+                    ),
                     ctx.lambda_head,
                 )
             )

@@ -3,6 +3,7 @@ import pytest
 
 from dualrel.cli import run_command
 from dualrel.config import generator_config_from, parse_kv_file, train_config_from
+from dualrel.model import DualBranchModel, save_checkpoint
 from dualrel.schedules import branch_weight, head_predicate_weight
 from dualrel.training import parse_log
 
@@ -112,6 +113,30 @@ def test_eval_missing_checkpoint_leaves_no_report(workspace, capsys):
     assert status != 0
     assert not report.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_truncated_checkpoint_is_one_error_line(workspace, capsys):
+    data = workspace / "data"
+    assert run_command(["generate", "--config", str(workspace / "gen.cfg"),
+                        "--out", str(data)]) == 0
+    gcfg = generator_config_from(parse_kv_file(workspace / "gen.cfg"))
+    model = DualBranchModel.build(
+        num_object_classes=gcfg.num_object_classes,
+        num_predicates=gcfg.num_predicates,
+        feature_dim=gcfg.feature_dim,
+    )
+    ckpt = workspace / "model.ckpt"
+    save_checkpoint(ckpt, model)
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    capsys.readouterr()
+    report = workspace / "report.txt"
+    status = run_command(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                          "--ks", "5", "--out", str(report)])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(ckpt) in err
+    assert not report.exists()
 
 
 def test_unknown_flag_fails(workspace, capsys):

@@ -238,6 +238,38 @@ class TestCheckpoint:
         save_checkpoint(b, model)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_every_truncation_is_one_value_error_naming_the_file(self, tmp_path):
+        model = DualBranchModel.build(
+            num_object_classes=4, num_predicates=4, feature_dim=4, hidden_dim=4,
+            context_dim=4, seed=3,
+        )
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        cut_path = tmp_path / "cut.ckpt"
+        wrong = []
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            try:
+                load_checkpoint(cut_path)
+            except ValueError as exc:
+                message = str(exc)
+                if str(cut_path) not in message or "\n" in message:
+                    wrong.append((cut, message))
+            except Exception as exc:  # noqa: BLE001 - the test reports any other
+                wrong.append((cut, repr(exc)))
+            else:
+                wrong.append((cut, "loaded"))
+        assert not wrong, f"{len(wrong)} of {len(raw)} cuts, first {wrong[:3]}"
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"DBRM" * 3])
+    def test_trailing_bytes_rejected(self, model, tmp_path, extra):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match=f"{len(extra)} trailing bytes"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -222,6 +222,20 @@ class TestParamStore:
         with pytest.raises(ValueError):
             store.accumulate("a", np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3,), (4, 5)])
+    def test_stack_adds_like_sequential_calls(self, shape):
+        rng = np.random.default_rng(8)
+        start = rng.normal(size=shape)
+        stack = rng.normal(size=(12,) + shape) * 10.0 ** rng.integers(-8, 8, size=(12,) + shape)
+        stacked, sequential = ParamStore(), ParamStore()
+        for store in (stacked, sequential):
+            store.add("p", np.zeros(shape))
+            store.accumulate("p", start)
+        stacked.accumulate("p", stack)
+        for grad in stack:
+            sequential.accumulate("p", grad)
+        np.testing.assert_array_equal(stacked.grad("p"), sequential.grad("p"))
+
     def test_sgd_skips_frozen(self):
         store = ParamStore()
         store.add("p", np.ones(2))

@@ -15,6 +15,7 @@ from dualrel.semantic_context import (
     target_global_token,
     triplet_semantics,
     triplet_semantics_rows,
+    triplet_semantics_rows_backward,
 )
 
 N_PRED = 6
@@ -50,6 +51,23 @@ def random_inputs(rng, n, logits_scale=2.0):
         rng.integers(1, N_OBJ + 1, size=n),
     )
     return fine, subj, obj, gt
+
+
+def stacked_inputs(rng, images, n):
+    """random_inputs for `images` images of n relations, stacked."""
+    fine, subj, obj, gt = zip(*(random_inputs(rng, n) for _ in range(images)))
+    return (
+        np.stack(fine), np.stack(subj), np.stack(obj),
+        tuple(np.stack(part) for part in zip(*gt)),
+    )
+
+
+def one_hot(indices, width):
+    return np.eye(width)[np.asarray(indices)]
+
+
+def max_relative_error(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
 
 
 class TestEmbeddings:
@@ -323,6 +341,111 @@ class TestEndToEndGradients:
             value = result.gap_loss + float(np.sum(result.correction * weight))
             grad_fine = context_backward(result, weight, 1.0, s)
             s.accumulate("fine_logits", grad_fine)
+            return value
+
+        assert grad_check(loss, store) <= 1e-4
+
+
+class TestStacks:
+    """A (G, n, .) stack gives each image the bits of its own call."""
+
+    def test_encode_context(self):
+        store = make_store(40)
+        x = np.random.default_rng(41).normal(size=(3, 5, DIM))
+        y, cache = encode_context(x, store)
+        for g in range(3):
+            y_g, cache_g = encode_context(x[g], store)
+            np.testing.assert_array_equal(y[g], y_g)
+            np.testing.assert_array_equal(cache["attn"][g], cache_g["attn"])
+
+    def test_target_global_token(self):
+        store = make_store(42)
+        _, _, _, gt = stacked_inputs(np.random.default_rng(43), 3, 4)
+        tokens = target_global_token(*gt, store)
+        for g in range(3):
+            np.testing.assert_array_equal(
+                tokens[g], target_global_token(*(part[g] for part in gt), store)
+            )
+
+    def test_context_forward(self):
+        store = make_store(44, randomize_classifier=True)
+        fine, subj, obj, gt = stacked_inputs(np.random.default_rng(45), 3, 4)
+        result = context_forward(fine, subj, obj, store, ground_truth=gt)
+        assert result.gap_loss.shape == (3,)
+        for g in range(3):
+            single = context_forward(
+                fine[g], subj[g], obj[g], store,
+                ground_truth=tuple(part[g] for part in gt),
+            )
+            np.testing.assert_array_equal(result.correction[g], single.correction)
+            np.testing.assert_array_equal(
+                result.predicted_global[g], single.predicted_global
+            )
+            np.testing.assert_array_equal(result.target_global[g], single.target_global)
+            assert result.gap_loss[g] == single.gap_loss
+
+
+class TestClassSpaceProjection:
+    """The ground-truth token and the projection backward against the
+    600-wide concatenated, one-hot form."""
+
+    def test_target_token_matches_one_hot_oracle(self):
+        store = make_store(50)
+        _, _, _, (preds, subjects, objects) = random_inputs(
+            np.random.default_rng(51), 5
+        )
+        obj_emb, pred_emb = store["embedding.object"], store["embedding.predicate"]
+        concat = np.concatenate(
+            [
+                one_hot(subjects, N_OBJ + 1) @ obj_emb,
+                one_hot(preds, N_PRED + 1) @ pred_emb,
+                one_hot(objects, N_OBJ + 1) @ obj_emb,
+            ],
+            axis=1,
+        )
+        rows = concat @ store["context.proj.w"]
+        encoded, _ = encode_context(np.vstack([rows, rows.mean(axis=0)]), store)
+        token = target_global_token(preds, subjects, objects, store)
+        assert max_relative_error(token, encoded[-1]) <= 1e-12
+
+    def test_projection_backward_matches_concat_oracle(self):
+        store = make_store(52)
+        rng = np.random.default_rng(53)
+        _, subj, obj, _ = stacked_inputs(rng, 3, 4)
+        pred = np.stack([random_dists(rng, 4, N_PRED + 1) for _ in range(3)])
+        grad_rows = rng.normal(size=(3, 4, DIM))
+        _, cache = triplet_semantics_rows(pred, subj, obj, store)
+        store.zero_grads()
+        grad_pred = triplet_semantics_rows_backward(cache, grad_rows, store)
+
+        obj_emb, pred_emb = store["embedding.object"], store["embedding.predicate"]
+        w = store["context.proj.w"]
+        oracle_w = np.zeros_like(w)
+        for g in range(3):
+            concat = np.concatenate(
+                [subj[g] @ obj_emb, pred[g] @ pred_emb, obj[g] @ obj_emb], axis=1
+            )
+            oracle_w += concat.T @ grad_rows[g]
+        oracle_pred = (grad_rows @ w.T)[..., EMBED_DIM : 2 * EMBED_DIM] @ pred_emb.T
+        assert max_relative_error(store.grad("context.proj.w"), oracle_w) <= 1e-12
+        assert max_relative_error(grad_pred, oracle_pred) <= 1e-12
+
+    def test_stacked_full_path_gradcheck(self):
+        rng = np.random.default_rng(54)
+        fine0, subj, obj, gt = stacked_inputs(rng, 3, 3)
+        weight = rng.normal(size=fine0.shape)
+        store = make_store(55, randomize_classifier=True)
+        store.add("fine_logits", fine0 * 0.5)
+        frozen = target_global_token(*gt, store)
+
+        def loss(s):
+            result = context_forward(
+                s["fine_logits"], subj, obj, s, frozen_target=frozen
+            )
+            value = float(np.sum(result.gap_loss)) + float(
+                np.sum(result.correction * weight)
+            )
+            s.accumulate("fine_logits", context_backward(result, weight, 1.0, s))
             return value
 
         assert grad_check(loss, store) <= 1e-4

@@ -173,6 +173,64 @@ class TestBatchGradients:
             )
 
 
+def mixed_size_batch(train_split):
+    """Runs of 1, 1 and 2 images: a 3-relation image between 4-relation ones."""
+    images = relations_by_image(train_split)
+    assert {len(image) for image in images[:4]} == {4}
+    return [images[0], images[1][:3], images[2], images[3]]
+
+
+def stacked_and_sequential(model, batch, ctx):
+    """(sums, grads) of one stacked call and of one call per image, in order
+    and without zeroing in between."""
+    store = model.store
+    store.zero_grads()
+    stacked = batch_forward_backward(model, batch, ctx)
+    stacked_grads = {n: store.grad(n).copy() for n in store.trainable_names()}
+    store.zero_grads()
+    sums = [0.0] * 4
+    for image in batch:
+        for i, value in enumerate(batch_forward_backward(model, [image], ctx)):
+            sums[i] += value
+    grads = {n: store.grad(n).copy() for n in store.trainable_names()}
+    return (stacked, stacked_grads), (tuple(sums), grads)
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            dict(coarse_only=True),
+            dict(disable_context=True),
+            dict(disable_context=True, disable_curriculum=True,
+                 distillation_on=False),
+        ],
+    )
+    def test_context_off_matches_per_image_calls_bitwise(self, dataset, flags):
+        vocab, train_split, _ = dataset
+        model = build_model(dataset, small_config())
+        batch = mixed_size_batch(train_split)
+        ctx = make_batch_context(model, vocab, batch, **flags)
+        (sums, grads), (ref_sums, ref_grads) = stacked_and_sequential(model, batch, ctx)
+        assert sums == ref_sums
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+    def test_context_on_matches_per_image_calls(self, dataset):
+        vocab, train_split, _ = dataset
+        model = build_model(dataset, small_config())
+        w = model.store["context.classifier.w"]
+        w += np.random.default_rng(3).normal(size=w.shape) * 0.2
+        batch = mixed_size_batch(train_split)
+        ctx = make_batch_context(model, vocab, batch)
+        (sums, grads), (ref_sums, ref_grads) = stacked_and_sequential(model, batch, ctx)
+        np.testing.assert_allclose(sums, ref_sums, rtol=1e-12, atol=0)
+        for name in grads:
+            scale = max(float(np.max(np.abs(ref_grads[name]))), 1e-300)
+            error = float(np.max(np.abs(grads[name] - ref_grads[name]))) / scale
+            assert error <= 1e-12, (name, error)
+
+
 class TestTrainLoop:
     def test_loss_identity_and_alpha_schedule(self, dataset):
         vocab, train_split, _ = dataset
