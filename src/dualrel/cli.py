@@ -3,8 +3,9 @@
 Subcommands: generate (config -> dataset files), train (config + dataset ->
 checkpoint + training log), eval (checkpoint + dataset -> report file), and
 report (training log -> schedule trace and per-predicate table). Output
-files are written atomically after the computation succeeds, so a failing
-run leaves no partial artifacts.
+files are written after the computation succeeds, each through a temp
+file renamed into place (``datagen.open_atomic``), so a failing run leaves
+no partial artifacts.
 """
 
 import argparse
@@ -12,8 +13,14 @@ import os
 import sys
 
 from . import config as config_mod
-from .datagen import build_prior_bias, generate_dataset, load_dataset, save_dataset
-from .metrics import format_report
+from .datagen import (
+    build_prior_bias,
+    generate_dataset,
+    load_dataset,
+    open_atomic,
+    save_dataset,
+)
+from .metrics import DEFAULT_KS, format_report
 from .model import DualBranchModel, load_checkpoint, save_checkpoint
 from .training import evaluate, parse_log, train, write_log
 
@@ -37,20 +44,14 @@ def _build_parser():
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True, help="dataset directory")
-    ev.add_argument("--ks", default="20,50,100", help="comma-separated K values")
+    ev.add_argument("--ks", default=",".join(map(str, DEFAULT_KS)),
+                    help="comma-separated K values")
     ev.add_argument("--out", required=True, help="report file")
 
     rep = sub.add_parser("report", help="summarize a training log")
     rep.add_argument("--log", required=True)
     rep.add_argument("--out", required=True)
     return parser
-
-
-def _write_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _cmd_generate(args):
@@ -100,7 +101,8 @@ def _cmd_eval(args):
     model = load_checkpoint(args.checkpoint)
     vocab, _, test_split, _, _ = load_dataset(args.data)
     report = evaluate(model, test_split, vocab, ks)
-    _write_atomic(args.out, format_report(report, vocab))
+    with open_atomic(args.out) as fh:
+        fh.write(format_report(report, vocab))
     k = ks[0]
     print(
         f"r@{k}={report.r_at_k[k]:.4f} mr@{k}={report.mr_at_k[k]:.4f} "
@@ -146,7 +148,8 @@ def _cmd_report(args):
                 recall = rows[i][k]["recall"]
                 cells.append("absent" if recall is None else f"{recall:.6f}")
             lines.append("\t".join(cells))
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    with open_atomic(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"report written to {args.out}")
     return 0
 

@@ -2,57 +2,22 @@
 
 Blank lines and lines starting with '#' are ignored; every other line must
 be key=value with a key belonging to the target config; unknown keys are
-rejected.
+rejected. The accepted keys and their types are the scalar (int, float,
+bool, str) fields of ``GeneratorConfig``, ``ScheduleConfig`` and
+``TrainConfig``; the dataclasses check the values.
 """
 
+import math
+from dataclasses import fields
+
 from .datagen import GeneratorConfig
-from .schedules import SCHEDULE_KINDS, ScheduleConfig
+from .schedules import ScheduleConfig
 from .training import TrainConfig, default_schedule
 
-_GENERATOR_FIELDS = {
-    "num_object_classes": int,
-    "num_head_predicates": int,
-    "tails_per_head": int,
-    "feature_dim": int,
-    "zipf_exponent": float,
-    "tail_offset_scale": float,
-    "noise_scale": float,
-    "label_noise": float,
-    "pair_concentration": float,
-    "num_train": int,
-    "num_test": int,
-    "relations_per_image": int,
-    "seed": int,
-}
-
-_SCHEDULE_FIELDS = {
-    "k1": int,
-    "k2": int,
-    "total_iterations": int,
-    "beta1": float,
-    "beta2": float,
-    "head_threshold": int,
-    "kind": str,
-    "nu": float,
-}
-
-_TRAIN_FIELDS = {
-    "tau": float,
-    "mu": float,
-    "beta_en": float,
-    "learning_rate": float,
-    "batch_size": int,
-    "hidden_dim": int,
-    "context_dim": int,
-    "seed": int,
-    "disable_curriculum": bool,
-    "disable_context": bool,
-    "disable_distillation": bool,
-    "coarse_only": bool,
-    "distill_after_k1": bool,
-    "log_every": int,
-    "eval_every": int,
-}
+GENERATOR_KEYS, SCHEDULE_KEYS, TRAIN_KEYS = (
+    {f.name: f.type for f in fields(cls) if f.type in (int, float, bool, str)}
+    for cls in (GeneratorConfig, ScheduleConfig, TrainConfig)
+)
 
 
 def parse_kv_file(path):
@@ -72,47 +37,39 @@ def parse_kv_file(path):
     return values
 
 
-def _coerce(key, value, kind):
-    if kind is bool:
+def _coerce(key, value, type_):
+    if type_ is bool:
         lowered = value.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
         raise ValueError(f"key {key!r}: expected a boolean, got {value!r}")
-    if kind is str:
-        if key == "kind" and value not in SCHEDULE_KINDS:
-            raise ValueError(f"key {key!r}: unknown schedule kind {value!r}")
-        return value
     try:
-        return kind(value)
+        result = type_(value)
     except ValueError as exc:
         raise ValueError(f"key {key!r}: {exc}") from None
+    if type_ is float and not math.isfinite(result):
+        raise ValueError(f"key {key!r}: expected a finite number, got {value!r}")
+    return result
 
 
 def generator_config_from(values):
     kwargs = {}
     for key, value in values.items():
-        if key not in _GENERATOR_FIELDS:
+        if key not in GENERATOR_KEYS:
             raise ValueError(f"unknown generator config key {key!r}")
-        kwargs[key] = _coerce(key, value, _GENERATOR_FIELDS[key])
+        kwargs[key] = _coerce(key, value, GENERATOR_KEYS[key])
     return GeneratorConfig(**kwargs)
 
 
 def train_config_from(values):
     schedule_kwargs, train_kwargs = {}, {}
     for key, value in values.items():
-        if key in _SCHEDULE_FIELDS:
-            schedule_kwargs[key] = _coerce(key, value, _SCHEDULE_FIELDS[key])
-        elif key in _TRAIN_FIELDS:
-            train_kwargs[key] = _coerce(key, value, _TRAIN_FIELDS[key])
+        if key in SCHEDULE_KEYS:
+            schedule_kwargs[key] = _coerce(key, value, SCHEDULE_KEYS[key])
+        elif key in TRAIN_KEYS:
+            train_kwargs[key] = _coerce(key, value, TRAIN_KEYS[key])
         else:
             raise ValueError(f"unknown training config key {key!r}")
-    if schedule_kwargs:
-        defaults = default_schedule()
-        merged = {
-            name: schedule_kwargs.get(name, getattr(defaults, name))
-            for name in _SCHEDULE_FIELDS
-        }
-        train_kwargs["schedule"] = ScheduleConfig(**merged)
-    return TrainConfig(**train_kwargs)
+    return TrainConfig(schedule=default_schedule(**schedule_kwargs), **train_kwargs)

@@ -15,6 +15,7 @@ are drawn from per-head-group canonical pairs, which gives the frequency
 prior the same head-favoring shape it has on real scene-graph data.
 """
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -347,12 +348,30 @@ def relations_by_image(instances):
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode="w"):
+    """Open a temp file beside path and rename it over path on success.
+
+    If the block raises, the temp file is removed and nothing is left at
+    path that was not there before.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _fmt_floats(values):
     return " ".join(repr(float(v)) for v in values)
 
 
 def save_vocabulary(path, vocab):
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         for i, name in enumerate(vocab.names):
             fh.write(
                 f"{i} {name} {int(vocab.train_counts[i])} {int(vocab.parent_of[i])}\n"
@@ -375,7 +394,7 @@ def load_vocabulary(path):
 
 
 def save_relations(path, instances, num_object_classes, num_predicates, feature_dim):
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         fh.write(
             f"relations {DATASET_FORMAT_VERSION} {num_object_classes} "
             f"{num_predicates} {feature_dim}\n"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semantic_context
+from .datagen import open_atomic
 from .numerics import (
     ParamStore,
     glorot_uniform,
@@ -252,7 +253,7 @@ def fine_branch_forward(model, instances, with_gap=True):
 def save_checkpoint(path, model):
     store = model.store
     names = store.names()
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(
             struct.pack(
@@ -280,7 +281,10 @@ def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``.
 
     A file that ends early, holds bytes past its last parameter, or is
-    otherwise malformed raises one ValueError that names the path.
+    otherwise malformed raises one ValueError that names the path. So does
+    one whose header dimensions are below 1, or whose parameters differ in
+    name, shape or trainable flag from those ``DualBranchModel.build``
+    makes for the header's dimensions, or hold a non-finite value.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -301,11 +305,19 @@ def load_checkpoint(path):
 
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a model checkpoint")
-    version, feature_dim, hidden_dim, context_dim, n_pred, n_obj = unpack("<6I")
+    version, *header = unpack("<6I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    dims = dict(zip(
+        ("feature_dim", "hidden_dim", "context_dim", "num_predicates",
+         "num_object_classes"),
+        header,
+    ))
+    for key, value in dims.items():
+        if value < 1:
+            raise ValueError(f"{path}: header {key} is {value}, must be at least 1")
     (count,) = unpack("<I")
-    store = ParamStore()
+    loaded = {}
     for _ in range(count):
         (name_len,) = unpack("<H")
         raw = take(name_len)
@@ -314,19 +326,31 @@ def load_checkpoint(path):
         data_bytes = take(8 * math.prod(shape))
         try:
             name = raw.decode("utf-8")
-            values = np.frombuffer(data_bytes, dtype="<f8").astype(np.float64)
-            store.add(name, values.reshape(shape), trainable=bool(trainable))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if name in loaded:
+            raise ValueError(f"{path}: duplicate parameter name {name!r}")
+        values = np.frombuffer(data_bytes, dtype="<f8").reshape(shape)
+        loaded[name] = (bool(trainable), values)
     if offset != len(data):
         raise ValueError(
             f"{path}: {len(data) - offset} trailing bytes after the last parameter"
         )
-    return DualBranchModel(
-        store=store,
-        num_object_classes=n_obj,
-        num_predicates=n_pred,
-        feature_dim=feature_dim,
-        hidden_dim=hidden_dim,
-        context_dim=context_dim,
-    )
+    model = DualBranchModel.build(**dims)
+    store = model.store
+    for name in sorted(set(loaded) | set(store.names())):
+        if name not in loaded:
+            raise ValueError(f"{path}: parameter {name!r} is missing")
+        if name not in store:
+            raise ValueError(f"{path}: parameter {name!r} is not part of the model")
+        trainable, values = loaded[name]
+        expected = (store[name].shape, store.is_trainable(name))
+        if (values.shape, trainable) != expected:
+            raise ValueError(
+                f"{path}: parameter {name!r} has shape {values.shape}, trainable="
+                f"{trainable}; the header's model has {expected[0]}, {expected[1]}"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name!r} has a non-finite value")
+        store[name][...] = values
+    return model

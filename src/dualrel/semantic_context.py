@@ -58,14 +58,12 @@ def add_embeddings(store, num_predicates, num_object_classes, rng):
         store.add(name, table, trainable=False)
 
 
-def add_context_params(store, num_predicates, context_dim=512, rng=None):
+def add_context_params(store, num_predicates, context_dim, rng):
     """Projection, one attention block, feed-forward, and the correction head.
 
     context_dim is the width the concatenated 600-dim triplet semantics are
-    projected to (512 by default).
+    projected to; rng draws the initial weights.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     d = context_dim
     store.add("context.proj.w", glorot_uniform(rng, 3 * EMBED_DIM, d))
     for gate in ("wq", "wk", "wv", "wo"):

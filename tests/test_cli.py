@@ -1,11 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
+from dualrel import config
 from dualrel.cli import run_command
 from dualrel.config import generator_config_from, parse_kv_file, train_config_from
+from dualrel.datagen import GeneratorConfig
 from dualrel.model import DualBranchModel, save_checkpoint
-from dualrel.schedules import branch_weight, head_predicate_weight
-from dualrel.training import parse_log
+from dualrel.schedules import ScheduleConfig, branch_weight, head_predicate_weight
+from dualrel.training import TrainConfig, default_schedule, parse_log
 
 GEN_CFG = """
 num_object_classes=6
@@ -202,3 +206,179 @@ class TestConfigParsing:
         path.write_text("kind=spline\n")
         with pytest.raises(ValueError, match="kind"):
             train_config_from(parse_kv_file(path))
+
+    def test_accepted_keys_are_the_scalar_dataclass_fields(self):
+        assert set(config.GENERATOR_KEYS) == {
+            "num_object_classes", "num_head_predicates", "tails_per_head",
+            "feature_dim", "zipf_exponent", "tail_offset_scale", "noise_scale",
+            "label_noise", "pair_concentration", "num_train", "num_test",
+            "relations_per_image", "seed",
+        }
+        assert set(config.SCHEDULE_KEYS) == {
+            "k1", "k2", "total_iterations", "beta1", "beta2", "head_threshold",
+            "kind", "nu",
+        }
+        assert set(config.TRAIN_KEYS) == {
+            "tau", "mu", "beta_en", "learning_rate", "batch_size", "hidden_dim",
+            "context_dim", "seed", "disable_curriculum", "disable_context",
+            "disable_distillation", "coarse_only", "distill_after_k1",
+            "log_every", "eval_every",
+        }
+
+    @pytest.mark.parametrize("line", ["eval_ks=5,10", "schedule=linear"])
+    def test_non_scalar_fields_are_unknown_keys(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown training config key"):
+            train_config_from(parse_kv_file(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"tail_offset_scale={value}\n")
+        with pytest.raises(ValueError, match="tail_offset_scale.*finite"):
+            generator_config_from(parse_kv_file(path))
+
+    def test_every_key_set_to_a_non_default_value(self, tmp_path):
+        def changed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, str):
+                return "exponential"
+            if isinstance(value, int):
+                return value + 1
+            return value / 2 or 0.5
+
+        def read(text, parse):
+            path = tmp_path / "all.cfg"
+            path.write_text(text)
+            return parse(parse_kv_file(path))
+
+        defaults = {
+            "generator": (GeneratorConfig(), config.GENERATOR_KEYS),
+            "schedule": (default_schedule(), config.SCHEDULE_KEYS),
+            "train": (TrainConfig(), config.TRAIN_KEYS),
+        }
+        values = {
+            part: {key: changed(getattr(cfg, key)) for key in keys}
+            for part, (cfg, keys) in defaults.items()
+        }
+        for part, (cfg, _) in defaults.items():
+            for key, value in values[part].items():
+                assert value != getattr(cfg, key), key
+
+        def text(*parts):
+            return "".join(
+                f"{k}={v}\n" for part in parts for k, v in values[part].items()
+            )
+
+        gen = read(text("generator"), generator_config_from)
+        assert gen == GeneratorConfig(**values["generator"])
+        trained = read(text("schedule", "train"), train_config_from)
+        assert trained == TrainConfig(
+            schedule=ScheduleConfig(**values["schedule"]), **values["train"]
+        )
+        for cfg, part in ((gen, "generator"), (trained.schedule, "schedule"),
+                          (trained, "train")):
+            for key, value in values[part].items():
+                assert type(getattr(cfg, key)) is type(value), key
+
+    def test_default_schedule_restates_only_the_breakpoints(self):
+        assert default_schedule() == ScheduleConfig(
+            k1=1000, k2=2000, total_iterations=4000
+        )
+        assert default_schedule(k2=3000, kind="parabolic") == ScheduleConfig(
+            k1=1000, k2=3000, total_iterations=4000, kind="parabolic"
+        )
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit status 1, one stderr line naming the key or the file, and
+# no output left behind
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("generated")
+    (root / "gen.cfg").write_text(GEN_CFG)
+    assert run_command(["generate", "--config", str(root / "gen.cfg"),
+                        "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+def _config_values(text):
+    return dict(line.split("=") for line in text.split())
+
+
+def _config_text(base, **changes):
+    values = {**_config_values(base), **changes}
+    return "".join(f"{key}={value}\n" for key, value in values.items())
+
+
+def _renamed_parameter(path, model):
+    save_checkpoint(path, model)
+    path.write_bytes(path.read_bytes().replace(b"decoder.fine.w", b"decoder.fine.x"))
+
+
+def _nan_bias(path, model):
+    model.store["decoder.fine.b"][:] = np.nan
+    save_checkpoint(path, model)
+
+
+def _zero_hidden_dim(path, model):
+    save_checkpoint(path, model)
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = struct.pack("<I", 0)  # after the magic, version, feature_dim
+    path.write_bytes(bytes(raw))
+
+
+BAD_INPUTS = [
+    pytest.param("train", {"log_every": "0"}, "log_every", id="log_every=0"),
+    pytest.param("train", {"log_every": "-2"}, "log_every", id="log_every=-2"),
+    pytest.param("train", {"hidden_dim": "0"}, "hidden_dim", id="hidden_dim=0"),
+    pytest.param("train", {"context_dim": "0"}, "context_dim", id="context_dim=0"),
+    pytest.param("train", {"eval_every": "-1"}, "eval_every", id="eval_every=-1"),
+    pytest.param("train", {"learning_rate": "nan"}, "learning_rate",
+                 id="learning_rate=nan"),
+    pytest.param("generate", {"tail_offset_scale": "nan"}, "tail_offset_scale",
+                 id="tail_offset_scale=nan"),
+    pytest.param("eval", _renamed_parameter, "decoder.fine.w", id="renamed-parameter"),
+    pytest.param("eval", _nan_bias, "decoder.fine.b", id="nan-bias"),
+    pytest.param("eval", _zero_hidden_dim, "hidden_dim", id="zero-hidden-dim"),
+]
+
+
+@pytest.mark.parametrize("command, change, named", BAD_INPUTS)
+def test_bad_input_is_one_error_line_and_no_output(
+    generated, tmp_path, capsys, command, change, named
+):
+    out = tmp_path / "out"
+    if command == "eval":
+        gcfg = generator_config_from(_config_values(GEN_CFG))
+        model = DualBranchModel.build(
+            num_object_classes=gcfg.num_object_classes,
+            num_predicates=gcfg.num_predicates,
+            feature_dim=gcfg.feature_dim,
+        )
+        ckpt = inputs = tmp_path / "model.ckpt"
+        change(ckpt, model)
+        named = [named, str(ckpt)]
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(generated),
+                "--ks", "5", "--out", str(out)]
+    else:
+        cfg = inputs = tmp_path / "bad.cfg"
+        cfg.write_text(
+            _config_text(GEN_CFG if command == "generate" else TRAIN_CFG, **change)
+        )
+        named = [named]
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(generated)]
+    capsys.readouterr()
+    status = run_command(argv)
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert all(name in err for name in named), err
+    assert list(tmp_path.iterdir()) == [inputs]

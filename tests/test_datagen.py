@@ -10,6 +10,7 @@ from dualrel.datagen import (
     load_dataset,
     relations_by_image,
     save_dataset,
+    save_relations,
     zipf_allocation,
 )
 from dualrel.numerics import ConfigurationError
@@ -240,6 +241,28 @@ class TestPriorBias:
 
 
 class TestDatasetFiles:
+    @pytest.mark.parametrize("existing", [None, "previous\n"])
+    def test_writer_failing_halfway_leaves_no_file(self, tmp_path, existing):
+        cfg = GeneratorConfig(
+            num_head_predicates=3, tails_per_head=2, num_train=120, num_test=36,
+            seed=11,
+        )
+        _, train, _ = generate_dataset(cfg)
+        path = tmp_path / "train.txt"
+        if existing is not None:
+            path.write_text(existing)
+        with pytest.raises(AttributeError):
+            # the header and ten relations are written before the bad entry
+            save_relations(
+                path, train[:10] + [None], cfg.num_object_classes,
+                cfg.num_predicates, cfg.feature_dim,
+            )
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [] if existing is None else ["train.txt"]
+        )
+        if existing is not None:
+            assert path.read_text() == existing
+
     def test_round_trip_is_exact(self, tmp_path):
         cfg = GeneratorConfig(
             num_head_predicates=3, tails_per_head=2, num_train=120, num_test=36,

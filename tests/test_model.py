@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,24 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(ValueError, match=f"{len(extra)} trailing bytes"):
+            load_checkpoint(path)
+
+    def test_header_disagreeing_with_the_parameters_rejected(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, model.hidden_dim + 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="parameter 'decoder.coarse.w' has shape"):
+            load_checkpoint(path)
+
+    def test_flipped_trainable_flag_rejected(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"prior.table") + len(b"prior.table")] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="'prior.table' .* trainable=True"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
