@@ -33,6 +33,7 @@ from .metrics import (
     EvalReport,
     GroundTruth,
     RankedPrediction,
+    TripleTable,
     compute_report,
     format_report,
     group_mean_recall,
@@ -46,6 +47,7 @@ from .model import (
     extract_features,
     fine_branch_forward,
     load_checkpoint,
+    parse_checkpoint,
     save_checkpoint,
 )
 from .numerics import ConfigurationError, ParamStore, grad_check, softmax

@@ -18,6 +18,7 @@ prior the same head-favoring shape it has on real scene-graph data.
 import contextlib
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,16 @@ import numpy as np
 from .numerics import ConfigurationError
 
 DATASET_FORMAT_VERSION = 1
+# a relation line: these fields in this order, the arrays flattened
+ID_FIELDS = ("image_id", "subject_class", "object_class", "gt_predicate")
+FEATURE_FIELDS = (
+    "subject_feature",
+    "object_feature",
+    "union_feature",
+    "subject_label_dist",
+    "object_label_dist",
+)
+LABEL_DIST_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -366,10 +377,6 @@ def open_atomic(path, mode="w"):
         raise
 
 
-def _fmt_floats(values):
-    return " ".join(repr(float(v)) for v in values)
-
-
 def save_vocabulary(path, vocab):
     with open_atomic(path) as fh:
         for i, name in enumerate(vocab.names):
@@ -378,16 +385,62 @@ def save_vocabulary(path, vocab):
             )
 
 
+def _int_field(path, line_no, field, token):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"{path}, line {line_no}: {field} {token!r} is not an integer"
+        ) from None
+
+
 def load_vocabulary(path):
+    """Read a vocabulary file: one ``index name train_count parent`` line per
+    predicate, background first.
+
+    Raises one ValueError naming the file, the line and the field for a line
+    without four fields, an index out of order, a negative count, or a
+    parent that is not a head predicate (the background's parent is -1).
+    """
     names, counts, parents = [], [], []
     with open(path) as fh:
-        for line in fh:
-            idx, name, count, parent = line.split()
-            if int(idx) != len(names):
-                raise ValueError(f"vocabulary indices out of order in {path}")
-            names.append(name)
-            counts.append(int(count))
-            parents.append(int(parent))
+        for line_no, line in enumerate(fh, start=1):
+            tok = line.split()
+            if len(tok) != 4:
+                raise ValueError(
+                    f"{path}, line {line_no}: expected 4 fields (index name "
+                    f"train_count parent), got {len(tok)}"
+                )
+            idx, count, parent = (
+                _int_field(path, line_no, field, token)
+                for field, token in zip(
+                    ("index", "train_count", "parent"), (tok[0], tok[2], tok[3])
+                )
+            )
+            if idx != len(names):
+                raise ValueError(
+                    f"{path}, line {line_no}: index is {idx}, expected {len(names)}"
+                )
+            if count < 0:
+                raise ValueError(
+                    f"{path}, line {line_no}: train_count is {count}, must be "
+                    "nonnegative"
+                )
+            names.append(tok[1])
+            counts.append(count)
+            parents.append(parent)
+    if len(names) < 2:
+        raise ValueError(f"{path}: a vocabulary needs background and a predicate")
+    for i, parent in enumerate(parents):
+        valid = (
+            parent == -1 if i == 0
+            else 1 <= parent < len(parents) and parents[parent] == parent
+        )
+        if not valid:
+            must = "-1" if i == 0 else "a head predicate (its own parent)"
+            raise ValueError(
+                f"{path}, line {i + 1}: parent is {parent}, must be {must}"
+            )
     return PredicateVocabulary(
         names, np.asarray(counts, dtype=np.int64), np.asarray(parents, dtype=np.int64)
     )
@@ -400,53 +453,112 @@ def save_relations(path, instances, num_object_classes, num_predicates, feature_
             f"{num_predicates} {feature_dim}\n"
         )
         for inst in instances:
-            fields = [
-                str(inst.image_id),
-                str(inst.subject_class),
-                str(inst.object_class),
-                str(inst.gt_predicate),
-                _fmt_floats(inst.subject_feature),
-                _fmt_floats(inst.object_feature),
-                _fmt_floats(inst.union_feature),
-                _fmt_floats(inst.subject_label_dist),
-                _fmt_floats(inst.object_label_dist),
-            ]
-            fh.write(" ".join(fields) + "\n")
+            ids = " ".join(str(getattr(inst, field)) for field in ID_FIELDS)
+            row = np.concatenate([getattr(inst, field) for field in FEATURE_FIELDS])
+            fh.write(f"{ids} {' '.join(map(repr, row.tolist()))}\n")
+
+
+def _show(value):
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def _check_relations(path, rows, widths, n_obj, n_pred):
+    """Validate a relation file's body matrix, one row per line; widths are
+    those of the FEATURE_FIELDS.
+
+    Every failure is one ValueError naming the file, the line (the header
+    is line 1; loadtxt skips blank lines, which are not counted) and the
+    field of the first bad value.
+    """
+    if rows.shape[1] != 4 + sum(widths):
+        raise ValueError(
+            f"{path}, line 2: expected {4 + sum(widths)} fields, got {rows.shape[1]}"
+        )
+    fields = list(ID_FIELDS) + [
+        f"{name}[{j}]" for name, width in zip(FEATURE_FIELDS, widths)
+        for j in range(width)
+    ]
+
+    def reject(row, field, text):
+        raise ValueError(f"{path}, line {row + 2}: {field} {text}")
+
+    def first_bad(start, bad, must):
+        bad_rows, bad_cols = np.nonzero(bad)
+        if bad_rows.size:
+            row, col = bad_rows[0], start + bad_cols[0]
+            reject(row, fields[col], f"is {_show(rows[row, col])}, must be {must}")
+
+    first_bad(0, ~np.isfinite(rows), "finite")
+    ids = rows[:, :4]
+    first_bad(0, ids != np.floor(ids), "an integer")
+    first_bad(0, ids[:, :1] < 0, "nonnegative")
+    for col, high in ((1, n_obj), (2, n_obj), (3, n_pred)):
+        column = ids[:, col : col + 1]
+        first_bad(col, (column < 0) | (column > high), f"in [0, {high}]")
+    dist_start = 4 + sum(widths[:3])
+    first_bad(dist_start, rows[:, dist_start:] < 0, "nonnegative")
+    for side, start in (("subject_label_dist", dist_start),
+                        ("object_label_dist", dist_start + n_obj + 1)):
+        sums = rows[:, start : start + n_obj + 1].sum(axis=1)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > LABEL_DIST_TOLERANCE)
+        if bad.size:
+            reject(bad[0], side, f"sums to {float(sums[bad[0]])!r}, must sum to 1 "
+                                 f"within {LABEL_DIST_TOLERANCE:g}")
+    image_ids = ids[:, 0]
+    steps = np.diff(image_ids)
+    bad = np.flatnonzero(np.r_[image_ids[:1] != 0, (steps != 0) & (steps != 1)])
+    if bad.size:
+        reject(bad[0], "image_id", f"is {_show(image_ids[bad[0]])}; image ids must "
+               "start at 0 and rise by 0 or 1 from line to line")
 
 
 def load_relations(path):
-    """Returns (instances, num_object_classes, num_predicates, feature_dim)."""
+    """Returns (instances, num_object_classes, num_predicates, feature_dim).
+
+    The body is read into one float matrix; each instance's arrays are
+    slices of its row. A malformed header or body, an id that is not an
+    integer or is out of range, a non-finite value, a label distribution
+    that is negative or does not sum to 1, or image ids that do not start at
+    0 and rise by 0 or 1 per line raise one ValueError naming the file (and
+    for the body, the line and the field).
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "relations":
             raise ValueError(f"{path} is not a relation file")
-        version, n_obj, n_pred, d = (int(x) for x in header[1:])
-        if version != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported relation file version {version}")
-        instances = []
-        for line in fh:
-            tok = line.split()
-            expected = 4 + 3 * d + 2 * (n_obj + 1)
-            if len(tok) != expected:
-                raise ValueError(
-                    f"malformed relation line in {path}: expected {expected} "
-                    f"fields, got {len(tok)}"
-                )
-            vals = np.array([float(x) for x in tok[4:]])
-            parts = np.split(vals, [d, 2 * d, 3 * d, 3 * d + n_obj + 1])
-            instances.append(
-                RelationInstance(
-                    image_id=int(tok[0]),
-                    subject_class=int(tok[1]),
-                    object_class=int(tok[2]),
-                    gt_predicate=int(tok[3]),
-                    subject_feature=parts[0],
-                    object_feature=parts[1],
-                    union_feature=parts[2],
-                    subject_label_dist=parts[3],
-                    object_label_dist=parts[4],
-                )
+        version, n_obj, n_pred, d = (
+            _int_field(path, 1, field, token)
+            for field, token in zip(
+                ("version", "num_object_classes", "num_predicates", "feature_dim"),
+                header[1:],
             )
+        )
+        if version != DATASET_FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported relation file version {version}")
+        for field, value in (("num_object_classes", n_obj),
+                             ("num_predicates", n_pred), ("feature_dim", d)):
+            if value < 1:
+                raise ValueError(
+                    f"{path}, line 1: {field} is {value}, must be at least 1"
+                )
+        try:
+            with warnings.catch_warnings():
+                # an empty body is an empty split, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed relation data: {exc}") from None
+    widths = (d, d, d, n_obj + 1, n_obj + 1)
+    if rows.size == 0:
+        rows = rows.reshape(0, 4 + sum(widths))
+    _check_relations(path, rows, widths, n_obj, n_pred)
+    bounds = np.cumsum((4,) + widths).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    instances = [
+        RelationInstance(*ids, *(row[start:stop] for start, stop in spans))
+        for ids, row in zip(rows[:, :4].astype(np.int64).tolist(), rows)
+    ]
     return instances, n_obj, n_pred, d
 
 
@@ -469,7 +581,10 @@ def load_dataset(directory):
     train, n_obj, n_pred, d = load_relations(os.path.join(directory, "train.txt"))
     test, n_obj2, n_pred2, d2 = load_relations(os.path.join(directory, "test.txt"))
     if (n_obj, n_pred, d) != (n_obj2, n_pred2, d2):
-        raise ValueError("train and test headers disagree")
+        raise ValueError(f"{directory}: train.txt and test.txt headers disagree")
     if n_pred != vocab.num_predicates:
-        raise ValueError("vocabulary size disagrees with relation files")
+        raise ValueError(
+            f"{directory}: vocab.txt has {vocab.num_predicates} predicates, the "
+            f"relation files {n_pred}"
+        )
     return vocab, train, test, n_obj, d

@@ -8,12 +8,12 @@ hits / total ground truths); mean recall averages the per-predicate
 recalls; Mean@K is the arithmetic mean of the two.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_KS = (20, 50, 100)
+TRIPLE_FIELDS = ("image_id", "subject_class", "object_class", "predicate")
 
 
 @dataclass(frozen=True)
@@ -33,50 +33,111 @@ class GroundTruth:
     predicate: int
 
 
-def _rank_key(pred):
-    return (-pred.score, pred.predicate, pred.subject_class, pred.object_class)
+@dataclass(frozen=True)
+class TripleTable:
+    """Predictions or ground truths as columns, one row each.
+
+    The four id columns are integer arrays; ``score`` is the predictions'
+    float column and None for ground truths. ``len`` is the row count.
+    """
+
+    image_id: np.ndarray
+    subject_class: np.ndarray
+    object_class: np.ndarray
+    predicate: np.ndarray
+    score: np.ndarray = None
+
+    def __len__(self):
+        return len(self.predicate)
+
+    @classmethod
+    def from_rows(cls, rows, score=None):
+        """Table of (image, subject, object, predicate) rows."""
+        ids = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+        return cls(*ids.T, score)
 
 
-def _by_image(items):
-    grouped = {}
-    for item in items:
-        grouped.setdefault(item.image_id, []).append(item)
-    return grouped
+def _table(items, scored):
+    """A list of RankedPrediction (scored) or GroundTruth as a TripleTable;
+    a table passes through unchanged."""
+    if isinstance(items, TripleTable):
+        return items
+    rows = [tuple(getattr(item, name) for name in TRIPLE_FIELDS) for item in items]
+    score = None
+    if scored:
+        score = np.asarray([item.score for item in items], dtype=np.float64)
+    return TripleTable.from_rows(rows, score)
 
 
-def _hits_per_class(preds, gts, k, num_classes):
-    """Matched ground truths per predicate class among each image's top K."""
-    preds_by_image = _by_image(preds)
-    hits = np.zeros(num_classes + 1, dtype=np.int64)
-    for image_id, image_gts in _by_image(gts).items():
-        ranked = sorted(preds_by_image.get(image_id, []), key=_rank_key)[:k]
-        top_triples = Counter(
-            (p.subject_class, p.object_class, p.predicate) for p in ranked
+def _hits(preds, gts, ks, num_classes):
+    """Matched ground truths per predicate class among each image's top K.
+
+    Returns an int64 array of shape (len(ks), num_classes + 1), one row per
+    K, all from one sort. One lexsort ranks every image's predictions (by
+    descending score, ties broken by lower predicate, then subject and
+    object class). Each (image, subject, object, predicate) is one integer
+    key, and a key matches min(its count among the top K, its ground-truth
+    count) ground truths: each prediction consumes at most one.
+    """
+    order = np.lexsort((preds.object_class, preds.subject_class, preds.predicate,
+                        -preds.score, preds.image_id))
+    image = preds.image_id[order]
+    starts = np.flatnonzero(np.r_[True, image[1:] != image[:-1]])
+    rank = np.arange(len(order)) - np.repeat(starts, np.diff(np.r_[starts, len(order)]))
+
+    dims = tuple(
+        1 + max(int(getattr(t, name).max(initial=0)) for t in (preds, gts))
+        for name in TRIPLE_FIELDS
+    )
+
+    def keys(table):
+        return np.ravel_multi_index(
+            tuple(getattr(table, name) for name in TRIPLE_FIELDS), dims
         )
-        gt_triples = Counter(
-            (g.subject_class, g.object_class, g.predicate) for g in image_gts
-        )
-        for triple, gt_count in gt_triples.items():
-            hits[triple[2]] += min(top_triples.get(triple, 0), gt_count)
+
+    truth_keys, truth_counts = np.unique(keys(gts), return_counts=True)
+    truth_class = np.unravel_index(truth_keys, dims)[-1]
+    ranked_keys = keys(preds)[order]
+    slot = np.minimum(np.searchsorted(truth_keys, ranked_keys), len(truth_keys) - 1)
+    matched = truth_keys[slot] == ranked_keys
+    hits = np.zeros((len(ks), num_classes + 1), dtype=np.int64)
+    for row, k in enumerate(ks):
+        in_top = np.bincount(slot[matched & (rank < k)], minlength=len(truth_keys))
+        per_key = np.minimum(in_top, truth_counts)
+        hits[row] = np.bincount(np.repeat(truth_class, per_key),
+                                minlength=num_classes + 1)
     return hits
 
 
-def _gts_per_class(gts, num_classes):
-    counts = np.zeros(num_classes + 1, dtype=np.int64)
-    for gt in gts:
-        counts[gt.predicate] += 1
-    return counts
+def _check_ks(ks, gts, what):
+    if any(k <= 0 for k in ks):
+        raise ValueError("K must be positive")
+    if not len(gts):
+        raise ValueError(f"{what} needs at least one ground truth")
+
+
+def _recall(hits, num_gts):
+    return float(hits.sum()) / num_gts
+
+
+def _mean_recall(hits, totals):
+    per_class = np.full(totals.shape[0], np.nan)
+    present = totals > 0
+    per_class[present] = hits[present] / totals[present]
+    evaluated = present.copy()
+    evaluated[0] = False
+    if not evaluated.any():
+        raise ValueError("no non-background predicate has ground truths")
+    return float(per_class[evaluated].mean()), per_class
 
 
 def recall_at_k(preds, gts, k):
     """Micro recall: matched ground truths over all ground truths."""
-    if k <= 0:
-        raise ValueError("K must be positive")
-    if not gts:
-        raise ValueError("recall needs at least one ground truth")
-    num_classes = max(g.predicate for g in gts)
-    hits = _hits_per_class(preds, gts, k, num_classes)
-    return float(hits.sum()) / len(gts)
+    _check_ks((k,), gts, "recall")
+    gts = _table(gts, scored=False)
+    num_classes = int(gts.predicate.max())
+    hits = _hits(_table(preds, scored=True), gts, (k,), num_classes)
+    return _recall(hits[0], len(gts))
 
 
 def mean_recall_at_k(preds, gts, k, num_predicates):
@@ -85,20 +146,11 @@ def mean_recall_at_k(preds, gts, k, num_predicates):
     Returns (mean, per-predicate vector of length num_predicates + 1);
     classes without ground truths hold NaN and are excluded from the mean.
     """
-    if k <= 0:
-        raise ValueError("K must be positive")
-    if not gts:
-        raise ValueError("mean recall needs at least one ground truth")
-    hits = _hits_per_class(preds, gts, k, num_predicates)
-    totals = _gts_per_class(gts, num_predicates)
-    per_class = np.full(num_predicates + 1, np.nan)
-    present = totals > 0
-    per_class[present] = hits[present] / totals[present]
-    evaluated = present.copy()
-    evaluated[0] = False
-    if not evaluated.any():
-        raise ValueError("no non-background predicate has ground truths")
-    return float(per_class[evaluated].mean()), per_class
+    _check_ks((k,), gts, "mean recall")
+    gts = _table(gts, scored=False)
+    hits = _hits(_table(preds, scored=True), gts, (k,), num_predicates)
+    totals = np.bincount(gts.predicate, minlength=num_predicates + 1)
+    return _mean_recall(hits[0], totals)
 
 
 def mean_at_k(r, mr):
@@ -139,10 +191,19 @@ class EvalReport:
 
 
 def compute_report(preds, gts, num_predicates, groups, ks=DEFAULT_KS):
+    """R@K, mR@K, Mean@K, per-predicate and group recalls for every K.
+
+    preds and gts are lists of RankedPrediction and GroundTruth or
+    TripleTables; every K comes from one ranking.
+    """
+    _check_ks(ks, gts, "recall")
+    gts = _table(gts, scored=False)
+    totals = np.bincount(gts.predicate, minlength=num_predicates + 1)
+    hits = _hits(_table(preds, scored=True), gts, ks, num_predicates)
     report = EvalReport(tuple(ks), {}, {}, {}, {}, {})
-    for k in ks:
-        r = recall_at_k(preds, gts, k)
-        mr, per_class = mean_recall_at_k(preds, gts, k, num_predicates)
+    for k, hits_k in zip(ks, hits):
+        r = _recall(hits_k, len(gts))
+        mr, per_class = _mean_recall(hits_k, totals)
         report.r_at_k[k] = r
         report.mr_at_k[k] = mr
         report.m_at_k[k] = mean_at_k(r, mr)

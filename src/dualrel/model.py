@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semantic_context
-from .datagen import open_atomic
+from .datagen import FEATURE_FIELDS, open_atomic
 from .numerics import (
     ParamStore,
-    glorot_uniform,
     linear_backward,
     linear_forward,
     relu,
@@ -29,6 +28,7 @@ from .numerics import (
 BRANCHES = ("coarse", "fine")
 CHECKPOINT_MAGIC = b"DBRM"
 CHECKPOINT_VERSION = 1
+FROZEN_INITS = ("embedding", "prior")
 
 
 @dataclass
@@ -61,32 +61,46 @@ class DualBranchModel:
             hidden_dim=hidden_dim,
             context_dim=context_dim,
         )
-        store = model.store
-        store.add("extractor.l1.w", glorot_uniform(rng, model.input_dim, hidden_dim))
-        store.add("extractor.l1.b", np.zeros(hidden_dim))
-        store.add("extractor.l2.w", glorot_uniform(rng, hidden_dim, hidden_dim))
-        store.add("extractor.l2.b", np.zeros(hidden_dim))
-        for branch in BRANCHES:
-            store.add(
-                f"decoder.{branch}.w",
-                glorot_uniform(rng, hidden_dim, model.num_classes),
-            )
-            store.add(f"decoder.{branch}.b", np.zeros(model.num_classes))
-        semantic_context.add_context_params(
-            store, num_predicates, context_dim=context_dim, rng=rng
+        *drawn, (prior_name, expected, _) = parameter_specs(
+            num_object_classes, num_predicates, feature_dim, hidden_dim, context_dim
         )
-        semantic_context.add_embeddings(store, num_predicates, num_object_classes, rng)
+        semantic_context.add_params(model.store, drawn, rng)
         if prior_table is None:
-            prior_table = np.zeros(
-                (num_object_classes + 1, num_object_classes + 1, model.num_classes)
-            )
-        expected = (num_object_classes + 1, num_object_classes + 1, model.num_classes)
+            prior_table = np.zeros(expected)
         if prior_table.shape != expected:
             raise ValueError(
                 f"prior table shape {prior_table.shape} does not match {expected}"
             )
-        store.add("prior.table", prior_table, trainable=False)
+        model.store.add(prior_name, prior_table, trainable=False)
         return model
+
+
+def parameter_specs(num_object_classes, num_predicates, feature_dim, hidden_dim,
+                    context_dim):
+    """(name, shape, init) of every parameter of a model of these dimensions,
+    in the order ``DualBranchModel.build`` adds them; allocates nothing.
+
+    init is one of ``semantic_context.add_params``'s kinds, or "prior" for
+    the frozen prior-bias table; "embedding" and "prior" are not trainable.
+    """
+    input_dim = 3 * feature_dim + 2 * (num_object_classes + 1)
+    num_classes = num_predicates + 1
+    specs = [
+        ("extractor.l1.w", (input_dim, hidden_dim), "glorot"),
+        ("extractor.l1.b", (hidden_dim,), "zeros"),
+        ("extractor.l2.w", (hidden_dim, hidden_dim), "glorot"),
+        ("extractor.l2.b", (hidden_dim,), "zeros"),
+    ]
+    for branch in BRANCHES:
+        specs += [
+            (f"decoder.{branch}.w", (hidden_dim, num_classes), "glorot"),
+            (f"decoder.{branch}.b", (num_classes,), "zeros"),
+        ]
+    specs += semantic_context.context_param_specs(num_predicates, context_dim)
+    specs += semantic_context.embedding_specs(num_predicates, num_object_classes)
+    pairs = num_object_classes + 1
+    specs.append(("prior.table", (pairs, pairs, num_classes), "prior"))
+    return specs
 
 
 def instance_matrix(model, instances):
@@ -102,16 +116,8 @@ def instance_matrix(model, instances):
                 "label distribution width does not match the model's object classes"
             )
     return np.concatenate(
-        [
-            np.array([getattr(inst, field) for inst in instances])
-            for field in (
-                "subject_feature",
-                "object_feature",
-                "union_feature",
-                "subject_label_dist",
-                "object_label_dist",
-            )
-        ],
+        [np.array([getattr(inst, field) for inst in instances])
+         for field in FEATURE_FIELDS],
         axis=-1,
     )
 
@@ -278,23 +284,30 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by ``save_checkpoint``.
-
-    A file that ends early, holds bytes past its last parameter, or is
-    otherwise malformed raises one ValueError that names the path. So does
-    one whose header dimensions are below 1, or whose parameters differ in
-    name, shape or trainable flag from those ``DualBranchModel.build``
-    makes for the header's dimensions, or hold a non-finite value.
-    """
+    """Read a checkpoint file; see ``parse_checkpoint``."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return parse_checkpoint(fh.read(), path)
+
+
+def parse_checkpoint(data, name):
+    """The model held by the bytes of a checkpoint from ``save_checkpoint``.
+
+    Bytes that end early, run past the last parameter, or are otherwise
+    malformed raise one ValueError that names ``name`` (the file). So do
+    header dimensions below 1, parameters that differ in name, shape or
+    trainable flag from those ``parameter_specs`` gives for the header's
+    dimensions, and non-finite values. Each parameter is compared before
+    its values are read, and the model is built only once all of them
+    matched, so a corrupted header dimension cannot make it allocate more
+    than the file holds.
+    """
     offset = 0
 
     def take(size):
         nonlocal offset
         if offset + size > len(data):
             raise ValueError(
-                f"{path}: truncated checkpoint ({len(data)} bytes; a read of "
+                f"{name}: truncated checkpoint ({len(data)} bytes; a read of "
                 f"{size} at byte {offset} runs past the end)"
             )
         offset += size
@@ -304,10 +317,10 @@ def load_checkpoint(path):
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
     if take(4) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a model checkpoint")
+        raise ValueError(f"{name} is not a model checkpoint")
     version, *header = unpack("<6I")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ValueError(f"{name}: unsupported checkpoint version {version}")
     dims = dict(zip(
         ("feature_dim", "hidden_dim", "context_dim", "num_predicates",
          "num_object_classes"),
@@ -315,7 +328,11 @@ def load_checkpoint(path):
     ))
     for key, value in dims.items():
         if value < 1:
-            raise ValueError(f"{path}: header {key} is {value}, must be at least 1")
+            raise ValueError(f"{name}: header {key} is {value}, must be at least 1")
+    expected = {
+        param: (shape, init not in FROZEN_INITS)
+        for param, shape, init in parameter_specs(**dims)
+    }
     (count,) = unpack("<I")
     loaded = {}
     for _ in range(count):
@@ -325,32 +342,34 @@ def load_checkpoint(path):
         shape = unpack(f"<{ndim}I")
         data_bytes = take(8 * math.prod(shape))
         try:
-            name = raw.decode("utf-8")
+            param = raw.decode("utf-8")
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if name in loaded:
-            raise ValueError(f"{path}: duplicate parameter name {name!r}")
+            raise ValueError(f"{name}: {exc}") from None
+        if param in loaded:
+            raise ValueError(f"{name}: duplicate parameter name {param!r}")
+        loaded[param] = None  # not part of the model: reported below
+        if param not in expected:
+            continue
+        if (shape, bool(trainable)) != expected[param]:
+            raise ValueError(
+                f"{name}: parameter {param!r} has shape {shape}, trainable="
+                f"{bool(trainable)}; the header's model has {expected[param][0]}, "
+                f"{expected[param][1]}"
+            )
         values = np.frombuffer(data_bytes, dtype="<f8").reshape(shape)
-        loaded[name] = (bool(trainable), values)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name}: parameter {param!r} has a non-finite value")
+        loaded[param] = values
     if offset != len(data):
         raise ValueError(
-            f"{path}: {len(data) - offset} trailing bytes after the last parameter"
+            f"{name}: {len(data) - offset} trailing bytes after the last parameter"
         )
+    for param in sorted(set(loaded) | set(expected)):
+        if param not in loaded:
+            raise ValueError(f"{name}: parameter {param!r} is missing")
+        if param not in expected:
+            raise ValueError(f"{name}: parameter {param!r} is not part of the model")
     model = DualBranchModel.build(**dims)
-    store = model.store
-    for name in sorted(set(loaded) | set(store.names())):
-        if name not in loaded:
-            raise ValueError(f"{path}: parameter {name!r} is missing")
-        if name not in store:
-            raise ValueError(f"{path}: parameter {name!r} is not part of the model")
-        trainable, values = loaded[name]
-        expected = (store[name].shape, store.is_trainable(name))
-        if (values.shape, trainable) != expected:
-            raise ValueError(
-                f"{path}: parameter {name!r} has shape {values.shape}, trainable="
-                f"{trainable}; the header's model has {expected[0]}, {expected[1]}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: parameter {name!r} has a non-finite value")
-        store[name][...] = values
+    for param, values in loaded.items():
+        model.store[param][...] = values
     return model

@@ -47,38 +47,66 @@ from .numerics import (
 EMBED_DIM = 200
 
 
+def embedding_specs(num_predicates, num_object_classes):
+    """(name, shape, init) of the fixed embedding tables; see add_params."""
+    return [
+        ("embedding.predicate", (num_predicates + 1, EMBED_DIM), "embedding"),
+        ("embedding.object", (num_object_classes + 1, EMBED_DIM), "embedding"),
+    ]
+
+
+def context_param_specs(num_predicates, context_dim):
+    """(name, shape, init) of the projection, the attention block, the
+    feed-forward and the correction head, in the order they are drawn.
+
+    context_dim is the width the concatenated 600-dim triplet semantics are
+    projected to.
+    """
+    d = context_dim
+    specs = [("context.proj.w", (3 * EMBED_DIM, d), "glorot")]
+    specs += [(f"context.attn.{gate}", (d, d), "glorot")
+              for gate in ("wq", "wk", "wv", "wo")]
+    # no key bias: it shifts every attention row by a constant, which the
+    # row softmax cancels exactly, so it would be a dead parameter
+    specs += [(f"context.attn.{gate}", (d,), "zeros") for gate in ("bq", "bv", "bo")]
+    specs += [
+        ("context.ffn.w1", (d, 2 * d), "glorot"),
+        ("context.ffn.b1", (2 * d,), "zeros"),
+        ("context.ffn.w2", (2 * d, d), "glorot"),
+        ("context.ffn.b2", (d,), "zeros"),
+        # corrections start at exactly zero; gradients still flow to the head
+        ("context.classifier.w", (d, num_predicates + 1), "zeros"),
+        ("context.classifier.b", (num_predicates + 1,), "zeros"),
+    ]
+    return specs
+
+
+def add_params(store, specs, rng):
+    """Add (name, shape, init) specs to the store in order, drawing from rng.
+
+    init "glorot" is a uniform Glorot matrix, "zeros" all zeros, and
+    "embedding" a frozen table of unit-norm standard-normal rows.
+    """
+    for name, shape, init in specs:
+        if init == "glorot":
+            store.add(name, glorot_uniform(rng, *shape))
+        elif init == "zeros":
+            store.add(name, np.zeros(shape))
+        else:
+            table = rng.standard_normal(shape)
+            table /= np.linalg.norm(table, axis=1, keepdims=True)
+            store.add(name, table, trainable=False)
+
+
 def add_embeddings(store, num_predicates, num_object_classes, rng):
     """Fixed unit-norm embedding rows for predicates and object labels."""
-    for name, rows in (
-        ("embedding.predicate", num_predicates + 1),
-        ("embedding.object", num_object_classes + 1),
-    ):
-        table = rng.standard_normal((rows, EMBED_DIM))
-        table /= np.linalg.norm(table, axis=1, keepdims=True)
-        store.add(name, table, trainable=False)
+    add_params(store, embedding_specs(num_predicates, num_object_classes), rng)
 
 
 def add_context_params(store, num_predicates, context_dim, rng):
-    """Projection, one attention block, feed-forward, and the correction head.
-
-    context_dim is the width the concatenated 600-dim triplet semantics are
-    projected to; rng draws the initial weights.
-    """
-    d = context_dim
-    store.add("context.proj.w", glorot_uniform(rng, 3 * EMBED_DIM, d))
-    for gate in ("wq", "wk", "wv", "wo"):
-        store.add(f"context.attn.{gate}", glorot_uniform(rng, d, d))
-    # no key bias: it shifts every attention row by a constant, which the
-    # row softmax cancels exactly, so it would be a dead parameter
-    for gate in ("bq", "bv", "bo"):
-        store.add(f"context.attn.{gate}", np.zeros(d))
-    store.add("context.ffn.w1", glorot_uniform(rng, d, 2 * d))
-    store.add("context.ffn.b1", np.zeros(2 * d))
-    store.add("context.ffn.w2", glorot_uniform(rng, 2 * d, d))
-    store.add("context.ffn.b2", np.zeros(d))
-    # corrections start at exactly zero; gradients still flow to the head
-    store.add("context.classifier.w", np.zeros((d, num_predicates + 1)))
-    store.add("context.classifier.b", np.zeros(num_predicates + 1))
+    """Projection, one attention block, feed-forward, and the correction head
+    (see context_param_specs); rng draws the initial weights."""
+    add_params(store, context_param_specs(num_predicates, context_dim), rng)
 
 
 def _check_distribution_rows(name, rows):
@@ -93,25 +121,23 @@ def triplet_semantics(pred_dist, subj_dist, obj_dist, store):
 
     The expected embedding of a distribution is its probability-weighted
     average of embedding rows; subject, predicate, and object expectations
-    are concatenated in that order and multiplied by the projection.
+    are concatenated in that order and multiplied by the projection. Each
+    distribution must sum to 1.
     """
-    out, _ = triplet_semantics_rows(
-        np.asarray(pred_dist)[None, :],
-        np.asarray(subj_dist)[None, :],
-        np.asarray(obj_dist)[None, :],
-        store,
-    )
+    dists = [np.asarray(d)[None, :] for d in (pred_dist, subj_dist, obj_dist)]
+    for name, rows in zip(("predicate", "subject label", "object label"), dists):
+        _check_distribution_rows(f"{name} distribution", rows)
+    out, _ = triplet_semantics_rows(*dists, store)
     return out[0]
 
 
 def triplet_semantics_rows(pred_dists, subj_dists, obj_dists, store):
     """Batched triplet_semantics: returns (rows, cache for backward).
 
-    The distributions are (n, ·) matrices or (G, n, ·) stacks.
+    The distributions are (n, ·) matrices or (G, n, ·) stacks. They are not
+    checked here: label distributions are validated when a relation file is
+    loaded, and predicate distributions are softmax rows.
     """
-    _check_distribution_rows("predicate distribution", pred_dists)
-    _check_distribution_rows("subject label distribution", subj_dists)
-    _check_distribution_rows("object label distribution", obj_dists)
     pred_emb = store["embedding.predicate"]
     obj_emb = store["embedding.object"]
     blocks = _triplet_blocks(pred_dists.shape[:-1])

@@ -35,7 +35,7 @@ from .losses import (
     hybrid_loss,
     total_loss,
 )
-from .metrics import DEFAULT_KS, GroundTruth, RankedPrediction, compute_report
+from .metrics import DEFAULT_KS, TripleTable, compute_report
 from .model import (
     decode_rows,
     decode_rows_backward,
@@ -358,28 +358,26 @@ def train(cfg, vocab, train_instances, model, eval_instances=None):
 
 
 def predictions_for_images(model, images):
-    """Fine-branch prediction scores per relation, one entry per predicate."""
-    # every forward before the prediction objects: interleaving the two left
-    # the heap in a state that measured 3-4% slower in the next training run
-    all_probs = [
+    """Fine-branch score of every predicate for every relation.
+
+    Returns a TripleTable with one row per (relation, predicate), relations
+    in image order and predicates 1..num_predicates within each relation.
+    """
+    probs = np.concatenate([
         softmax(fine_branch_forward(model, image, with_gap=False).output_logits, axis=1)
         for image in images
-    ]
-    preds = []
-    num_predicates = model.num_predicates
-    for image, probs in zip(images, all_probs):
-        for inst, row in zip(image, probs):
-            for predicate in range(1, num_predicates + 1):
-                preds.append(
-                    RankedPrediction(
-                        image_id=inst.image_id,
-                        subject_class=inst.subject_class,
-                        object_class=inst.object_class,
-                        predicate=predicate,
-                        score=float(row[predicate]),
-                    )
-                )
-    return preds
+    ])
+    n_pred = model.num_predicates
+    ids = np.asarray(
+        [(inst.image_id, inst.subject_class, inst.object_class)
+         for image in images for inst in image],
+        dtype=np.int64,
+    )
+    return TripleTable(
+        *(np.repeat(column, n_pred) for column in ids.T),
+        predicate=np.tile(np.arange(1, n_pred + 1), len(ids)),
+        score=probs[:, 1:].ravel(),
+    )
 
 
 def evaluate(model, test_instances, vocab, ks=DEFAULT_KS):
@@ -388,12 +386,11 @@ def evaluate(model, test_instances, vocab, ks=DEFAULT_KS):
         raise ValueError("evaluation needs a nonempty test split")
     images = relations_by_image(test_instances)
     preds = predictions_for_images(model, images)
-    gts = [
-        GroundTruth(inst.image_id, inst.subject_class, inst.object_class,
-                    inst.gt_predicate)
+    gts = TripleTable.from_rows([
+        (inst.image_id, inst.subject_class, inst.object_class, inst.gt_predicate)
         for inst in test_instances
         if inst.gt_predicate != 0
-    ]
+    ])
     groups = group_split(vocab)
     return compute_report(preds, gts, vocab.num_predicates, groups, ks)
 

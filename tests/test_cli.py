@@ -1,3 +1,4 @@
+import shutil
 import struct
 
 import numpy as np
@@ -333,6 +334,37 @@ def _zero_hidden_dim(path, model):
     path.write_bytes(bytes(raw))
 
 
+def _edit_line(name, line, edit):
+    """A dataset defect: ``edit`` changes the tokens of one line of one file
+    (line 1 is the first; -1 is the last)."""
+
+    def change(data):
+        path = data / name
+        lines = path.read_text().splitlines()
+        index = line - 1 if line > 0 else line
+        tokens = lines[index].split()
+        edit(tokens)
+        lines[index] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+
+    return change
+
+
+def _set(column, value):
+    def edit(tokens):
+        tokens[column] = value(tokens[column]) if callable(value) else value
+    return edit
+
+
+def _scale(start, stop, factor):
+    def edit(tokens):
+        tokens[start:stop] = [repr(float(t) * factor) for t in tokens[start:stop]]
+    return edit
+
+
+# GEN_CFG relation lines: 4 ids, 3 x 8 features, 2 x 7 label distributions
+SUBJECT_DIST = slice(4 + 3 * 8, 4 + 3 * 8 + 7)
+
 BAD_INPUTS = [
     pytest.param("train", {"log_every": "0"}, "log_every", id="log_every=0"),
     pytest.param("train", {"log_every": "-2"}, "log_every", id="log_every=-2"),
@@ -346,6 +378,21 @@ BAD_INPUTS = [
     pytest.param("eval", _renamed_parameter, "decoder.fine.w", id="renamed-parameter"),
     pytest.param("eval", _nan_bias, "decoder.fine.b", id="nan-bias"),
     pytest.param("eval", _zero_hidden_dim, "hidden_dim", id="zero-hidden-dim"),
+    pytest.param("data", _edit_line("train.txt", 2, _set(1, "99")),
+                 ("train.txt", "line 2", "subject_class"), id="subject-class-99"),
+    pytest.param("data", _edit_line("test.txt", 3, _set(2, "1.5")),
+                 ("test.txt", "line 3", "object_class"), id="object-class-1.5"),
+    pytest.param("data", _edit_line("train.txt", 3,
+                                    _scale(SUBJECT_DIST.start, SUBJECT_DIST.stop, 5.0)),
+                 ("train.txt", "line 3", "subject_label_dist"), id="label-dist-sums-to-5"),
+    pytest.param("data", _edit_line("train.txt", 4, _set(4 + 2 * 8, "nan")),
+                 ("train.txt", "line 4", "union_feature[0]"), id="nan-feature"),
+    pytest.param("data", _edit_line("train.txt", -1, _set(0, lambda t: str(int(t) + 2))),
+                 ("train.txt", "line 241", "image_id"), id="image-id-gap"),
+    pytest.param("data", _edit_line("vocab.txt", 3, lambda tokens: tokens.pop()),
+                 ("vocab.txt", "line 3", "4 fields"), id="vocab-line-of-3-fields"),
+    pytest.param("data", _edit_line("vocab.txt", 5, _set(3, "77")),
+                 ("vocab.txt", "line 5", "parent"), id="vocab-parent-77"),
 ]
 
 
@@ -366,6 +413,16 @@ def test_bad_input_is_one_error_line_and_no_output(
         named = [named, str(ckpt)]
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(generated),
                 "--ks", "5", "--out", str(out)]
+    elif command == "data":
+        data = tmp_path / "data"
+        shutil.copytree(generated, data)
+        change(data)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN_CFG)
+        inputs = [data, cfg]
+        name, *named = named
+        named.append(str(data / name))
+        argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]
     else:
         cfg = inputs = tmp_path / "bad.cfg"
         cfg.write_text(
@@ -381,4 +438,6 @@ def test_bad_input_is_one_error_line_and_no_output(
     assert status == 1
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert all(name in err for name in named), err
-    assert list(tmp_path.iterdir()) == [inputs]
+    assert sorted(tmp_path.iterdir()) == sorted(
+        inputs if isinstance(inputs, list) else [inputs]
+    )

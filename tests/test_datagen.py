@@ -8,6 +8,7 @@ from dualrel.datagen import (
     group_split,
     head_set,
     load_dataset,
+    load_relations,
     relations_by_image,
     save_dataset,
     save_relations,
@@ -290,3 +291,45 @@ class TestDatasetFiles:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_loaded_values_are_the_bits_of_float_of_every_token(self, tmp_path):
+        cfg = GeneratorConfig(
+            num_head_predicates=3, tails_per_head=2, num_train=120, num_test=36,
+            seed=11,
+        )
+        _, train, _ = generate_dataset(cfg)
+        path = tmp_path / "train.txt"
+        save_relations(path, train, cfg.num_object_classes, cfg.num_predicates,
+                       cfg.feature_dim)
+        loaded, *_ = load_relations(path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(loaded) == len(lines)
+        for inst, line in zip(loaded, lines):
+            tokens = line.split()
+            assert [inst.image_id, inst.subject_class, inst.object_class,
+                    inst.gt_predicate] == [int(t) for t in tokens[:4]]
+            values = np.concatenate([
+                inst.subject_feature, inst.object_feature, inst.union_feature,
+                inst.subject_label_dist, inst.object_label_dist,
+            ])
+            expected = np.array([float(t) for t in tokens[4:]])
+            assert values.tobytes() == expected.tobytes()
+
+    def test_save_load_save_is_a_byte_identical_fixed_point(self, tmp_path):
+        cfg = GeneratorConfig(
+            num_head_predicates=3, tails_per_head=2, num_train=120, num_test=36,
+            seed=12,
+        )
+        vocab, train, test = generate_dataset(cfg)
+        save_dataset(tmp_path / "a", cfg, vocab, train, test)
+        vocab2, train2, test2, _, _ = load_dataset(tmp_path / "a")
+        save_dataset(tmp_path / "b", cfg, vocab2, train2, test2)
+        for name in ("vocab.txt", "train.txt", "test.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+
+    def test_empty_body_is_an_empty_split(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        save_relations(path, [], 4, 6, 5)
+        assert load_relations(path) == ([], 4, 6, 5)

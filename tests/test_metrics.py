@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import brute_force_matcher
 
 from dualrel.metrics import (
     EvalReport,
     GroundTruth,
     RankedPrediction,
+    TripleTable,
     compute_report,
     group_mean_recall,
     mean_at_k,
@@ -265,3 +269,66 @@ def test_compute_report_identity_and_monotonicity():
         )
     assert report.r_at_k[1] <= report.r_at_k[3] <= report.r_at_k[9]
     assert report.mr_at_k[1] <= report.mr_at_k[3] <= report.mr_at_k[9]
+
+
+@st.composite
+def tied_instances(draw):
+    """Several images whose predictions take one of two scores and repeat
+    triples; some images have predictions and no ground truth, or the
+    reverse."""
+    n_classes = draw(st.integers(1, 4))
+    triple = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, n_classes))
+    gts, preds = [], []
+    for image_id in range(draw(st.integers(1, 4))):
+        for s, o, p in draw(st.lists(triple, max_size=4)):
+            gts.append(GroundTruth(image_id, s, o, p))
+        for (s, o, p), score in draw(
+            st.lists(st.tuples(triple, st.sampled_from([0.25, 0.75])), max_size=14)
+        ):
+            preds.append(RankedPrediction(image_id, s, o, p, score))
+    if not gts:
+        gts.append(GroundTruth(0, *draw(triple)))
+    return preds, gts, n_classes
+
+
+def as_prediction_table(preds):
+    rows = [(p.image_id, p.subject_class, p.object_class, p.predicate) for p in preds]
+    return TripleTable.from_rows(rows, np.asarray([p.score for p in preds], dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_instances(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
+def test_array_ranking_matches_brute_force_matcher(instance, ks):
+    preds, gts, n_classes = instance
+    gt_counts = {}
+    for g in gts:
+        gt_counts[g.predicate] = gt_counts.get(g.predicate, 0) + 1
+    groups = ([1], list(range(2, n_classes + 1)), [])
+    report = compute_report(as_prediction_table(preds), gts, n_classes, groups, ks)
+    for k in ks:
+        by_class = brute_force_matcher(preds, gts, k)
+        recall = sum(by_class.values()) / len(gts)
+        assert recall_at_k(preds, gts, k) == recall
+        assert report.r_at_k[k] == recall
+        mr, per_class = mean_recall_at_k(preds, gts, k, n_classes)
+        expected = [by_class.get(c, 0) / gt_counts[c] for c in sorted(gt_counts)]
+        assert mr == report.mr_at_k[k] == float(np.mean(expected))
+        np.testing.assert_array_equal(per_class, report.per_predicate[k])
+        for c in range(n_classes + 1):
+            if c in gt_counts:
+                assert per_class[c] == by_class.get(c, 0) / gt_counts[c]
+            else:
+                assert np.isnan(per_class[c])
+
+
+def test_prediction_table_passes_through_with_its_row_count():
+    rng = np.random.default_rng(8)
+    preds, gts, n_classes = random_instance(rng, max_preds=10)
+    table = as_prediction_table(preds)
+    assert len(table) == len(preds)
+    groups = ([1], [2], list(range(3, n_classes + 1)))
+    a = compute_report(table, gts, n_classes, groups, ks=(1, 4))
+    b = compute_report(preds, gts, n_classes, groups, ks=(1, 4))
+    assert (a.r_at_k, a.mr_at_k, a.group_recalls) == (b.r_at_k, b.mr_at_k, b.group_recalls)
+    for k in (1, 4):
+        np.testing.assert_array_equal(a.per_predicate[k], b.per_predicate[k])

@@ -1,7 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrel.datagen import GeneratorConfig, build_prior_bias, generate_dataset
 from dualrel.losses import cross_entropy_rows
@@ -16,6 +19,8 @@ from dualrel.model import (
     fine_branch_forward,
     instance_matrix,
     load_checkpoint,
+    parameter_specs,
+    parse_checkpoint,
     save_checkpoint,
 )
 from dualrel.numerics import grad_check
@@ -219,6 +224,30 @@ class TestSharedExtractorGradients:
         )
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The bytes of a checkpoint of a 4-class, width-4 model, and the offsets
+    of every byte that is not a parameter value (header, names, flags,
+    shapes)."""
+    model = DualBranchModel.build(
+        num_object_classes=4, num_predicates=4, feature_dim=4, hidden_dim=4,
+        context_dim=4, seed=3,
+    )
+    path = tmp_path_factory.mktemp("small") / "model.ckpt"
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    offsets = list(range(4 + 24 + 4))
+    at = len(offsets)
+    while at < len(raw):
+        (name_len,) = struct.unpack_from("<H", raw, at)
+        ndim = raw[at + 2 + name_len + 1]
+        shape = struct.unpack_from(f"<{ndim}I", raw, at + 2 + name_len + 2)
+        head = 2 + name_len + 2 + 4 * ndim
+        offsets += range(at, at + head)
+        at += head + 8 * int(np.prod(shape))
+    return raw, offsets
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, model, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -240,29 +269,76 @@ class TestCheckpoint:
         save_checkpoint(b, model)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_every_truncation_is_one_value_error_naming_the_file(self, tmp_path):
-        model = DualBranchModel.build(
-            num_object_classes=4, num_predicates=4, feature_dim=4, hidden_dim=4,
-            context_dim=4, seed=3,
-        )
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
-        raw = path.read_bytes()
-        cut_path = tmp_path / "cut.ckpt"
+    def test_every_truncation_is_one_value_error_naming_the_file(self, small_checkpoint):
+        raw, _ = small_checkpoint
         wrong = []
         for cut in range(len(raw)):
-            cut_path.write_bytes(raw[:cut])
             try:
-                load_checkpoint(cut_path)
+                parse_checkpoint(raw[:cut], "cut.ckpt")
             except ValueError as exc:
                 message = str(exc)
-                if str(cut_path) not in message or "\n" in message:
+                if "cut.ckpt" not in message or "\n" in message:
                     wrong.append((cut, message))
             except Exception as exc:  # noqa: BLE001 - the test reports any other
                 wrong.append((cut, repr(exc)))
             else:
                 wrong.append((cut, "loaded"))
         assert not wrong, f"{len(wrong)} of {len(raw)} cuts, first {wrong[:3]}"
+
+    def test_truncated_file_names_its_path(self, small_checkpoint, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(small_checkpoint[0][:-9])
+        with pytest.raises(ValueError, match=f"^{path}: truncated checkpoint"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_byte_flips_load_or_raise_one_value_error_naming_the_file(
+        self, small_checkpoint, data
+    ):
+        raw, metadata = bytearray(small_checkpoint[0]), small_checkpoint[1]
+        positions = st.sampled_from(metadata) | st.integers(0, len(raw) - 1)
+        for position, mask in data.draw(
+            st.lists(st.tuples(positions, st.integers(1, 255)), min_size=1, max_size=3)
+        ):
+            raw[position] ^= mask
+        try:
+            parse_checkpoint(bytes(raw), "flipped.ckpt")
+        except ValueError as exc:
+            message = str(exc)
+            assert "flipped.ckpt" in message and "\n" not in message, message
+
+    @pytest.mark.parametrize("bit", [11, 20, 31])
+    def test_flipped_high_bit_in_hidden_dim_is_rejected_without_allocating(
+        self, model, tmp_path, bit
+    ):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, model.hidden_dim ^ (1 << bit))
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(info.value)
+        assert message.startswith(f"{path}: parameter 'decoder.coarse.w' has shape")
+        assert "\n" not in message
+        # parsing holds the file's bytes, never a model of the flipped width
+        assert peak < 2 * len(raw) + 64_000, peak
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4, 4, 4), (6, 7, 8, 12, 16), (1, 1, 1, 1, 1)])
+    def test_parameter_specs_are_what_build_makes(self, dims):
+        n_obj, n_pred, d, hidden, context = dims
+        store = DualBranchModel.build(n_obj, n_pred, d, hidden, context).store
+        specs = parameter_specs(n_obj, n_pred, d, hidden, context)
+        assert [name for name, _, _ in specs] == list(store._params)
+        for name, shape, init in specs:
+            assert store[name].shape == shape
+            assert store.is_trainable(name) == (init not in ("embedding", "prior"))
 
     @pytest.mark.parametrize("extra", [b"\x00", b"DBRM" * 3])
     def test_trailing_bytes_rejected(self, model, tmp_path, extra):

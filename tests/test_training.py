@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,21 @@ from dualrel.datagen import (
     GeneratorConfig,
     build_prior_bias,
     generate_dataset,
+    group_split,
     head_set,
     relations_by_image,
 )
 from dualrel.losses import effective_number_weights
-from dualrel.model import DualBranchModel, save_checkpoint
-from dualrel.numerics import ConfigurationError, grad_check
+from dualrel.metrics import (
+    EvalReport,
+    GroundTruth,
+    RankedPrediction,
+    format_report,
+    group_mean_recall,
+    mean_at_k,
+)
+from dualrel.model import DualBranchModel, fine_branch_forward, save_checkpoint
+from dualrel.numerics import ConfigurationError, grad_check, softmax
 from dualrel.schedules import ScheduleConfig
 from dualrel.semantic_context import target_global_token
 from dualrel.training import (
@@ -348,6 +359,66 @@ class TestEvaluate:
         report = evaluate(model, test_split, vocab, ks=(2,))
         many, _, few = report.group_recalls[2]
         assert many > few
+
+
+def object_and_sort_report(model, test_split, vocab, ks):
+    """Evaluation as it was done with one object per prediction and one
+    Python sort per image and K: the reference for the array ranking."""
+    preds = []
+    for image in relations_by_image(test_split):
+        probs = softmax(
+            fine_branch_forward(model, image, with_gap=False).output_logits, axis=1
+        )
+        for inst, row in zip(image, probs):
+            for predicate in range(1, model.num_predicates + 1):
+                preds.append(RankedPrediction(
+                    inst.image_id, inst.subject_class, inst.object_class,
+                    predicate, float(row[predicate]),
+                ))
+    gts = [
+        GroundTruth(inst.image_id, inst.subject_class, inst.object_class,
+                    inst.gt_predicate)
+        for inst in test_split if inst.gt_predicate != 0
+    ]
+    n = vocab.num_predicates
+    totals = np.bincount([g.predicate for g in gts], minlength=n + 1)
+    report = EvalReport(tuple(ks), {}, {}, {}, {}, {})
+    for k in ks:
+        hits = np.zeros(n + 1, dtype=np.int64)
+        for image_id in sorted({g.image_id for g in gts}):
+            ranked = sorted(
+                (p for p in preds if p.image_id == image_id),
+                key=lambda p: (-p.score, p.predicate, p.subject_class, p.object_class),
+            )[:k]
+            top = Counter((p.subject_class, p.object_class, p.predicate) for p in ranked)
+            truth = Counter(
+                (g.subject_class, g.object_class, g.predicate)
+                for g in gts if g.image_id == image_id
+            )
+            for triple, count in truth.items():
+                hits[triple[2]] += min(top[triple], count)
+        per_class = np.full(n + 1, np.nan)
+        present = totals > 0
+        per_class[present] = hits[present] / totals[present]
+        present[0] = False
+        r = float(hits.sum()) / len(gts)
+        mr = float(per_class[present].mean())
+        report.r_at_k[k], report.mr_at_k[k] = r, mr
+        report.m_at_k[k] = mean_at_k(r, mr)
+        report.per_predicate[k] = per_class
+        report.group_recalls[k] = group_mean_recall(per_class, group_split(vocab))
+    return report
+
+
+def test_evaluate_report_matches_the_object_and_sort_path(dataset):
+    vocab, train_split, test_split = dataset
+    cfg = small_config()
+    model = build_model(dataset, cfg)
+    train(cfg, vocab, train_split, model)
+    ks = (1, 5, 20, 200)
+    assert format_report(evaluate(model, test_split, vocab, ks), vocab) == format_report(
+        object_and_sort_report(model, test_split, vocab, ks), vocab
+    )
 
 
 class TestTrainLogIO:
