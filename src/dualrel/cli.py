@@ -99,7 +99,14 @@ def _cmd_eval(args):
     if not ks:
         raise ValueError("--ks must name at least one K")
     model = load_checkpoint(args.checkpoint)
-    vocab, _, test_split, _, _ = load_dataset(args.data)
+    vocab, _, test_split, n_obj, feature_dim = load_dataset(args.data)
+    for key, value in (("num_predicates", vocab.num_predicates),
+                       ("num_object_classes", n_obj), ("feature_dim", feature_dim)):
+        if getattr(model, key) != value:
+            raise ValueError(
+                f"{args.checkpoint}: the model's {key} is {getattr(model, key)}, "
+                f"but the dataset {args.data} has {value}"
+            )
     report = evaluate(model, test_split, vocab, ks)
     with open_atomic(args.out) as fh:
         fh.write(format_report(report, vocab))

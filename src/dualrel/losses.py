@@ -1,13 +1,12 @@
 """Training objectives.
 
-Per-instance ops return (loss, gradient) pairs with hand-derived gradients;
-``*_rows`` variants apply the same computation to every row of an (n, C)
-logit matrix or of a (G, n, C) stack of them, and are what the training
-loop calls (they are asserted bitwise-equal to the per-instance forms in
-the tests, and a stack gives each image's rows the bits of its own
-matrix). The distillation loss is restricted to head predicates: both
-distributions are renormalized softmaxes over the head indices only, which
-keeps the Gibbs bound (loss >= teacher entropy) exact and testable.
+Each loss is one ``*_rows`` op with a hand-derived gradient over an (n, C)
+logit matrix or a (G, n, C) stack of them, returning (per-row losses,
+gradients like the logits); a stack gives each image's rows the bits of its
+own matrix. The per-instance forms are one-row wrappers over them. The
+distillation loss is restricted to head predicates: both distributions are
+renormalized softmaxes over the head indices only, which keeps the Gibbs
+bound (loss >= teacher entropy) exact and testable.
 """
 
 from dataclasses import dataclass
@@ -22,16 +21,12 @@ def cross_entropy(logits, label):
     z = as_array(logits)
     if z.ndim != 1:
         raise ValueError("cross_entropy expects a 1-d logit vector")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    logp = log_softmax(z)
-    grad = np.exp(logp)
-    grad[label] -= 1.0
-    return -logp[label], grad
+    losses, grads = cross_entropy_rows(z[None, :], [label])
+    return losses[0], grads[0]
 
 
 def cross_entropy_rows(logits, labels):
-    """Row-batched cross_entropy: returns (per-row losses, grads like logits)."""
+    """Cross-entropy of each row: returns (per-row losses, grads like logits)."""
     z = as_array(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= z.shape[-1]):
@@ -78,13 +73,13 @@ def curriculum_cross_entropy(logits, label, class_weights, lambda_y):
     """
     if not 0.0 <= lambda_y <= 1.0:
         raise ValueError("lambda_y must lie in [0, 1]")
-    loss, grad = cross_entropy(logits, label)
-    scale = lambda_y * class_weights[label]
-    return scale * loss, scale * grad
+    losses, grads = curriculum_cross_entropy_rows(
+        [logits], [label], class_weights, [lambda_y])
+    return losses[0], grads[0]
 
 
 def curriculum_cross_entropy_rows(logits, labels, class_weights, lambda_rows):
-    """Row-batched curriculum_cross_entropy; lambda_rows is one weight per row."""
+    """curriculum_cross_entropy of each row; lambda_rows is one weight per row."""
     losses, grads = cross_entropy_rows(logits, labels)
     scale = np.asarray(lambda_rows, dtype=np.float64) * class_weights[np.asarray(labels)]
     return scale * losses, scale[..., None] * grads
@@ -98,26 +93,13 @@ def head_distillation_loss(teacher_logits, student_logits, tau, head_indices):
     -sum p_i log q_i over the heads. The teacher is a constant: gradients
     flow only to the student's head-logit entries.
     """
-    head_indices = np.asarray(head_indices, dtype=np.int64)
-    if head_indices.shape[0] < 2:
-        raise ConfigurationError(
-            "distillation needs at least two head predicates "
-            f"(got {head_indices.shape[0]})"
-        )
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    zt = as_array(teacher_logits)[head_indices] / tau
-    zs = as_array(student_logits)[head_indices] / tau
-    p = softmax(zt)
-    logq = log_softmax(zs)
-    loss = -np.sum(p * logq)
-    grad = np.zeros_like(as_array(student_logits))
-    grad[head_indices] = (np.exp(logq) - p) / tau
-    return loss, grad
+    losses, grads = head_distillation_rows(
+        [teacher_logits], [student_logits], tau, head_indices)
+    return losses[0], grads[0]
 
 
 def head_distillation_rows(teacher_logits, student_logits, tau, head_indices):
-    """Row-batched head_distillation_loss: (per-row losses, grads like logits)."""
+    """head_distillation_loss of each row: (per-row losses, grads like logits)."""
     head_indices = np.asarray(head_indices, dtype=np.int64)
     if head_indices.shape[0] < 2:
         raise ConfigurationError(

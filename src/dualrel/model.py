@@ -7,6 +7,9 @@ label distributions) to a context vector. Two linear decoders read it: the
 with the curriculum objectives and used at inference. Both branches add the
 frozen subject-object prior-bias slice to their logits. The extractor is a
 single set of parameters, so sharing between branches is by construction.
+
+The layers take one image's (n, ·) rows or a (G, n, ·) stack of equal-size
+images; the per-relation and per-image forms are wrappers over them.
 """
 
 import math
@@ -122,6 +125,33 @@ def instance_matrix(model, instances):
     )
 
 
+def image_runs(images):
+    """(start, stop) of each run of consecutive images with equal sizes."""
+    start = 0
+    for stop in range(1, len(images) + 1):
+        if stop == len(images) or len(images[stop]) != len(images[start]):
+            yield start, stop
+            start = stop
+
+
+def run_inputs(model, images):
+    """Inputs of a run of equal-size images: the (G, n, input_dim) extractor
+    input and the (G, n) subject, object and predicate id stacks."""
+    flat = [inst for image in images for inst in image]
+    shape = (len(images), len(images[0]))
+    ids = np.array([(i.subject_class, i.object_class, i.gt_predicate) for i in flat])
+    return (instance_matrix(model, flat).reshape(*shape, -1),
+            *ids.T.reshape(3, *shape))
+
+
+def label_dists(model, x):
+    """The subject and object label-distribution columns of extractor input
+    rows; ``FEATURE_FIELDS`` puts them last, after the three features."""
+    start = 3 * model.feature_dim
+    stop = start + model.num_object_classes + 1
+    return x[..., start:stop], x[..., stop:]
+
+
 def extractor_forward(model, x):
     """Shared extractor: linear -> relu -> linear. Returns (h, cache).
 
@@ -215,33 +245,17 @@ class FineBranchResult:
     gap_loss: float
 
 
-def fine_branch_forward(model, instances, with_gap=True):
-    """Inference path for one image's relations: fine decode + correction.
-
-    The gap loss is computed from the instances' ground-truth annotations
-    when with_gap is true; at inference it can be skipped, the correction is
-    always applied.
-    """
-    if not instances:
-        raise ValueError("need at least one relation in the image")
-    x = instance_matrix(model, instances)
+def fine_branch_rows(model, x, subjects, objects, predicates=None):
+    """Inference path, fine decode + context correction, for one image's
+    (n, ·) rows or a (G, n, ·) stack as ``run_inputs`` gives them. The gap
+    loss is computed only when the ground-truth predicates are given."""
     h, _ = extractor_forward(model, x)
-    subjects = [inst.subject_class for inst in instances]
-    objects = [inst.object_class for inst in instances]
     fine = decode_rows(model, "fine", h, subjects, objects)
-    ground_truth = None
-    if with_gap:
-        ground_truth = (
-            [inst.gt_predicate for inst in instances],
-            subjects,
-            objects,
-        )
     result = semantic_context.context_forward(
         fine,
-        np.asarray([inst.subject_label_dist for inst in instances]),
-        np.asarray([inst.object_label_dist for inst in instances]),
+        *label_dists(model, x),
         model.store,
-        ground_truth=ground_truth,
+        ground_truth=None if predicates is None else (predicates, subjects, objects),
     )
     return FineBranchResult(
         fine_logits=fine,
@@ -249,6 +263,15 @@ def fine_branch_forward(model, instances, with_gap=True):
         output_logits=fine + result.correction,
         gap_loss=result.gap_loss,
     )
+
+
+def fine_branch_forward(model, instances, with_gap=True):
+    """``fine_branch_rows`` for one image's relations; the gap loss is
+    skipped unless with_gap is true."""
+    if not instances:
+        raise ValueError("need at least one relation in the image")
+    x, subjects, objects, predicates = (a[0] for a in run_inputs(model, [instances]))
+    return fine_branch_rows(model, x, subjects, objects, predicates if with_gap else None)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,10 @@ def relu_backward(pre_activation, grad_out):
     return grad_out * (pre_activation > 0.0)
 
 
-def glorot_uniform(rng, fan_in, fan_out, shape=None):
+def glorot_uniform(rng, fan_in, fan_out):
     """Uniform init in [-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-a, a, size=shape)
+    return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
 class ParamStore:

@@ -374,8 +374,6 @@ def context_backward(result, grad_correction, grad_gap, store):
     """
     cache = result.cache
     n = cache["n"]
-    if n == 0:
-        return np.zeros((0, grad_correction.shape[1] if grad_correction.ndim else 0))
     encoded = cache["encoded"]
     grad_encoded = np.zeros_like(encoded)
     gin, gw, gb = linear_backward(

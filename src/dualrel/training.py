@@ -14,11 +14,13 @@ from a dedicated generator stream and gradients accumulate in a fixed
 order.
 
 A step splits its mini-batch into runs of consecutive images with the same
-relation count and runs every layer once per run, on (G, n, ·) stacks
-without padding. Each weight gradient is added to the store image by
-image in batch order and each loss sum in batch order, so a step gives
-the bits of a per-image loop, except along the set encoder's projection
-backward (see ``semantic_context``).
+relation count (``model.image_runs``) and runs every layer once per run,
+on (G, n, ·) stacks without padding. Each weight gradient is added to the
+store image by image in batch order and each loss sum in batch order, so a
+step gives the bits of a per-image loop, except along the set encoder's
+projection backward (see ``semantic_context``). Evaluation stacks the same
+way: each run of equal-size test images makes one fine-branch forward
+(``model.fine_branch_rows``), with the bits of one forward per image.
 """
 
 from dataclasses import dataclass, field, replace
@@ -41,8 +43,10 @@ from .model import (
     decode_rows_backward,
     extractor_backward,
     extractor_forward,
-    fine_branch_forward,
-    instance_matrix,
+    fine_branch_rows,
+    image_runs,
+    label_dists,
+    run_inputs,
 )
 from .numerics import ConfigurationError, softmax
 from .schedules import ScheduleConfig, branch_weight, head_predicate_weight
@@ -149,15 +153,6 @@ class _BatchContext:
     frozen_targets: list = None
 
 
-def _runs(batch):
-    """(start, stop) of each run of consecutive images with equal sizes."""
-    start = 0
-    for stop in range(1, len(batch) + 1):
-        if stop == len(batch) or len(batch[stop]) != len(batch[start]):
-            yield start, stop
-            start = stop
-
-
 def batch_forward_backward(model, batch, ctx):
     """Forward and backward over one mini-batch of images.
 
@@ -169,17 +164,9 @@ def batch_forward_backward(model, batch, ctx):
     """
     store = model.store
     ce_sum = crm_sum = sc_sum = kd_sum = 0.0
-    for start, stop in _runs(batch):
-        images = batch[start:stop]
-        shape = (len(images), len(images[0]))
-        flat = [inst for image in images for inst in image]
-        x = instance_matrix(model, flat).reshape(*shape, -1)
+    for start, stop in image_runs(batch):
+        x, subjects, objects, labels = run_inputs(model, batch[start:stop])
         h, ecache = extractor_forward(model, x)
-        subjects = np.asarray([inst.subject_class for inst in flat]).reshape(shape)
-        objects = np.asarray([inst.object_class for inst in flat]).reshape(shape)
-        labels = np.asarray(
-            [inst.gt_predicate for inst in flat], dtype=np.int64
-        ).reshape(shape)
 
         coarse = decode_rows(model, "coarse", h, subjects, objects)
         ce_losses, ce_grads = cross_entropy_rows(coarse, labels)
@@ -201,12 +188,9 @@ def batch_forward_backward(model, batch, ctx):
                 np.stack(ctx.frozen_targets[start:stop]) if ctx.frozen_targets
                 else None
             )
-            subj_dists = np.asarray([inst.subject_label_dist for inst in flat])
-            obj_dists = np.asarray([inst.object_label_dist for inst in flat])
             result = context_forward(
                 fine,
-                subj_dists.reshape(*shape, -1),
-                obj_dists.reshape(*shape, -1),
+                *label_dists(model, x),
                 store,
                 ground_truth=(labels, subjects, objects),
                 frozen_target=frozen,
@@ -363,10 +347,11 @@ def predictions_for_images(model, images):
     Returns a TripleTable with one row per (relation, predicate), relations
     in image order and predicates 1..num_predicates within each relation.
     """
-    probs = np.concatenate([
-        softmax(fine_branch_forward(model, image, with_gap=False).output_logits, axis=1)
-        for image in images
-    ])
+    scores = []
+    for start, stop in image_runs(images):
+        x, subjects, objects, _ = run_inputs(model, images[start:stop])
+        logits = fine_branch_rows(model, x, subjects, objects).output_logits
+        scores.append(softmax(logits, axis=-1)[..., 1:].ravel())
     n_pred = model.num_predicates
     ids = np.asarray(
         [(inst.image_id, inst.subject_class, inst.object_class)
@@ -376,7 +361,7 @@ def predictions_for_images(model, images):
     return TripleTable(
         *(np.repeat(column, n_pred) for column in ids.T),
         predicate=np.tile(np.arange(1, n_pred + 1), len(ids)),
-        score=probs[:, 1:].ravel(),
+        score=np.concatenate(scores),
     )
 
 
@@ -438,40 +423,72 @@ def write_log(path, log, vocab=None):
                     )
 
 
+# record -> (positional fields, key=value fields), as write_log writes them
+_LOG_RECORDS = {
+    "iter": (("iteration",), ("alpha", "lambda_head", "l_ce", "l_crm", "l_hybrid",
+                              "l_sc", "l_kd", "l_total")),
+    "eval": (("iteration", "K"), ("r", "mr", "m", "many", "medium", "few")),
+    "evalpred": (("iteration", "K", "index", "name", "train_count", "recall"), ()),
+}
+
+
+def _log_value(record, field, text):
+    if field == "name":
+        return text
+    if field in ("iteration", "K", "index", "train_count"):
+        return int(text)
+    if text == "absent" and record != "iter":
+        return None
+    return float(text)
+
+
 def parse_log(path):
-    """Parse a training log into (iteration rows, eval rows, per-pred rows)."""
-    iters, evals, evalpreds = [], [], []
+    """Parse a training log into (iteration rows, eval rows, per-pred rows).
+
+    A line must hold exactly the fields ``write_log`` writes for its record,
+    and each evaluation's per-predicate rows must cover every K; otherwise
+    one ValueError names the file, the line or iteration, and the field.
+    """
+    rows = {record: [] for record in _LOG_RECORDS}
     with open(path) as fh:
         header = fh.readline().split()
         if header[:2] != ["#", "training-log"]:
             raise ValueError(f"{path} is not a training log")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             tok = line.split()
             if not tok:
                 continue
-            if tok[0] == "iter":
-                row = {"iteration": int(tok[1])}
-                for pair in tok[2:]:
-                    key, value = pair.split("=")
-                    row[key] = float(value)
-                iters.append(row)
-            elif tok[0] == "eval":
-                row = {"iteration": int(tok[1]), "K": int(tok[2])}
-                for pair in tok[3:]:
-                    key, value = pair.split("=")
-                    row[key] = None if value == "absent" else float(value)
-                evals.append(row)
-            elif tok[0] == "evalpred":
-                evalpreds.append(
-                    {
-                        "iteration": int(tok[1]),
-                        "K": int(tok[2]),
-                        "index": int(tok[3]),
-                        "name": tok[4],
-                        "train_count": int(tok[5]),
-                        "recall": None if tok[6] == "absent" else float(tok[6]),
-                    }
+            where = f"{path}, line {number}"
+            if tok[0] not in _LOG_RECORDS:
+                raise ValueError(f"{where}: unknown log record {tok[0]!r}")
+            positional, keys = _LOG_RECORDS[tok[0]]
+            fields = list(zip(positional, tok[1:]))
+            for pair in tok[1 + len(positional):]:
+                key, sep, text = pair.partition("=")
+                if not sep or key not in keys:
+                    raise ValueError(f"{where}: unexpected field {pair!r}")
+                fields.append((key, text))
+            row = {}
+            for field, text in fields:
+                try:
+                    row[field] = _log_value(tok[0], field, text)
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: field {field} has bad value {text!r}"
+                    ) from None
+            missing = [field for field in positional + keys if field not in row]
+            if missing:
+                raise ValueError(f"{where}: field {missing[0]} is missing")
+            rows[tok[0]].append(row)
+    ks = {}
+    for row in rows["evalpred"]:
+        ks.setdefault(row["iteration"], set()).add(row["K"])
+    seen = {(row["iteration"], row["index"], row["K"]) for row in rows["evalpred"]}
+    for iteration, index, _ in sorted(seen):
+        for k in sorted(ks[iteration]):
+            if (iteration, index, k) not in seen:
+                raise ValueError(
+                    f"{path}: the evalpred rows of iteration {iteration} have no "
+                    f"K={k} row for predicate index {index}"
                 )
-            else:
-                raise ValueError(f"unknown log record {tok[0]!r} in {path}")
-    return iters, evals, evalpreds
+    return rows["iter"], rows["eval"], rows["evalpred"]

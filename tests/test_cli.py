@@ -362,6 +362,26 @@ def _scale(start, stop, factor):
     return edit
 
 
+def _model_with(**dims):
+    """A checkpoint change: save a model whose dims differ from the dataset's."""
+
+    def change(path, model):
+        save_checkpoint(path, DualBranchModel.build(**{
+            "num_object_classes": model.num_object_classes,
+            "num_predicates": model.num_predicates,
+            "feature_dim": model.feature_dim,
+            **dims,
+        }))
+
+    return change
+
+
+ITER_LINE = ("iter 1 alpha=1.0 lambda_head=1.0 l_ce=1.0 l_crm=1.0 l_hybrid=1.0 "
+             "l_sc=0.0 l_kd=0.0 l_total=1.0")
+# predicate 2 has no K=10 row
+EVALPRED_LINES = "\n".join(["evalpred 10 5 1 a 3 0.5", "evalpred 10 10 1 a 3 0.5",
+                            "evalpred 10 5 2 b 2 0.5"])
+
 # GEN_CFG relation lines: 4 ids, 3 x 8 features, 2 x 7 label distributions
 SUBJECT_DIST = slice(4 + 3 * 8, 4 + 3 * 8 + 7)
 
@@ -393,6 +413,23 @@ BAD_INPUTS = [
                  ("vocab.txt", "line 3", "4 fields"), id="vocab-line-of-3-fields"),
     pytest.param("data", _edit_line("vocab.txt", 5, _set(3, "77")),
                  ("vocab.txt", "line 5", "parent"), id="vocab-parent-77"),
+    pytest.param("mismatch", _model_with(num_predicates=4), "num_predicates",
+                 id="4-predicate-checkpoint"),
+    pytest.param("mismatch", _model_with(num_object_classes=8), "num_object_classes",
+                 id="8-object-class-checkpoint"),
+    pytest.param("mismatch", _model_with(feature_dim=4), "feature_dim",
+                 id="feature-dim-4-checkpoint"),
+    pytest.param("report", "iter 1 l_total=1.0", ("line 2", "alpha"),
+                 id="iter-without-alpha"),
+    pytest.param("report", "iter", ("line 2", "iteration"), id="bare-iter"),
+    pytest.param("report", ITER_LINE.replace("alpha=1.0", "alpha=abc"),
+                 ("line 2", "alpha"), id="alpha=abc"),
+    pytest.param("report", ITER_LINE.replace("iter 1", "iter x"),
+                 ("line 2", "iteration"), id="iter-x"),
+    pytest.param("report", f"{ITER_LINE}\neval 1 20 r", ("line 3", "'r'"),
+                 id="eval-field-without-value"),
+    pytest.param("report", EVALPRED_LINES, ("iteration 10", "K=10", "index 2"),
+                 id="evalpred-missing-a-k"),
 ]
 
 
@@ -401,7 +438,7 @@ def test_bad_input_is_one_error_line_and_no_output(
     generated, tmp_path, capsys, command, change, named
 ):
     out = tmp_path / "out"
-    if command == "eval":
+    if command in ("eval", "mismatch"):
         gcfg = generator_config_from(_config_values(GEN_CFG))
         model = DualBranchModel.build(
             num_object_classes=gcfg.num_object_classes,
@@ -411,6 +448,8 @@ def test_bad_input_is_one_error_line_and_no_output(
         ckpt = inputs = tmp_path / "model.ckpt"
         change(ckpt, model)
         named = [named, str(ckpt)]
+        if command == "mismatch":  # names the dataset too
+            named.append(str(generated))
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(generated),
                 "--ks", "5", "--out", str(out)]
     elif command == "data":
@@ -423,6 +462,11 @@ def test_bad_input_is_one_error_line_and_no_output(
         name, *named = named
         named.append(str(data / name))
         argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]
+    elif command == "report":
+        log = inputs = tmp_path / "train.log"
+        log.write_text(f"# training-log 1\n{change}\n")
+        named = [*named, str(log)]
+        argv = ["report", "--log", str(log), "--out", str(out)]
     else:
         cfg = inputs = tmp_path / "bad.cfg"
         cfg.write_text(

@@ -31,6 +31,7 @@ from dualrel.training import (
     batch_forward_backward,
     evaluate,
     parse_log,
+    predictions_for_images,
     train,
     write_log,
 )
@@ -419,6 +420,23 @@ def test_evaluate_report_matches_the_object_and_sort_path(dataset):
     assert format_report(evaluate(model, test_split, vocab, ks), vocab) == format_report(
         object_and_sort_report(model, test_split, vocab, ks), vocab
     )
+
+
+def test_stacked_eval_matches_one_forward_per_image(dataset):
+    _, _, test_split = dataset
+    model = build_model(dataset, small_config())
+    rng = np.random.default_rng(6)
+    w = model.store["context.classifier.w"]
+    w += rng.normal(size=w.shape) * 0.2
+    images = relations_by_image(test_split)
+    images[1] = images[1][:-1]  # runs of 1, 1 and 10 images
+    assert [len(image) for image in images[:3]] == [4, 3, 4]
+    per_image = [fine_branch_forward(model, image, with_gap=False) for image in images]
+    assert min(np.abs(result.correction).max() for result in per_image) > 0
+    expected = np.concatenate(
+        [softmax(result.output_logits, axis=1)[:, 1:].ravel() for result in per_image]
+    )
+    np.testing.assert_array_equal(predictions_for_images(model, images).score, expected)
 
 
 class TestTrainLogIO:
