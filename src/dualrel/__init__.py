@@ -12,6 +12,7 @@ from .datagen import (
     PredicateVocabulary,
     PriorBias,
     RelationInstance,
+    RelationTable,
     build_prior_bias,
     generate_dataset,
     group_split,

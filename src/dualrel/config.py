@@ -10,7 +10,7 @@ bool, str) fields of ``GeneratorConfig``, ``ScheduleConfig`` and
 import math
 from dataclasses import fields
 
-from .datagen import GeneratorConfig
+from .datagen import GeneratorConfig, open_text
 from .schedules import ScheduleConfig
 from .training import TrainConfig, default_schedule
 
@@ -22,7 +22,7 @@ GENERATOR_KEYS, SCHEDULE_KEYS, TRAIN_KEYS = (
 
 def parse_kv_file(path):
     values = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):

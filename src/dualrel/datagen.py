@@ -19,7 +19,7 @@ import contextlib
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,8 @@ FEATURE_FIELDS = (
     "object_label_dist",
 )
 LABEL_DIST_TOLERANCE = 1e-6
+# added to every count of the prior-bias table (Laplace smoothing)
+PRIOR_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,9 @@ class PredicateVocabulary:
         return [i for i in range(1, len(self.names)) if self.parent_of[i] == i]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationInstance:
-    """One subject-predicate-object sample."""
+    """One subject-predicate-object sample; a table's row view shares its arrays."""
 
     image_id: int
     subject_class: int
@@ -119,6 +121,37 @@ class RelationInstance:
     union_feature: np.ndarray
     subject_label_dist: np.ndarray
     object_label_dist: np.ndarray
+
+    @property
+    def x(self):
+        """The extractor input row: the FEATURE_FIELDS concatenated."""
+        return np.concatenate([getattr(self, name) for name in FEATURE_FIELDS])
+
+
+@dataclass(frozen=True, eq=False)
+class RelationTable:
+    """A split, one row per relation, as two arrays.
+
+    ``ids`` is the (N, 4) int64 array of the ID_FIELDS. ``x`` holds the
+    C-contiguous (N, 3d + 2(n_obj + 1)) float64 rows of the FEATURE_FIELDS:
+    both the extractor input and a relation file's columns after the ids.
+    An int index gives a row view (a RelationInstance), a slice a table view.
+    """
+
+    ids: np.ndarray
+    x: np.ndarray
+    num_object_classes: int
+    feature_dim: int
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, ids=self.ids[index], x=self.x[index])
+        d, width = self.feature_dim, self.num_object_classes + 1
+        fields = np.split(self.x[index], [d, 2 * d, 3 * d, 3 * d + width])
+        return RelationInstance(*self.ids[index].tolist(), *fields)
 
 
 @dataclass
@@ -176,49 +209,24 @@ def _label_dist(rng, true_class, num_object_classes, label_noise):
     return (1.0 - label_noise) * dist + label_noise * noise
 
 
-def _sample_instance(rng, cfg, predicate, parent, obj_anchors, pattern_anchors,
-                     canonical_pairs):
-    d = cfg.feature_dim
-    if rng.random() < cfg.pair_concentration:
-        subj, obj = canonical_pairs[parent]
-    else:
-        subj = int(rng.integers(1, cfg.num_object_classes + 1))
-        obj = int(rng.integers(1, cfg.num_object_classes + 1))
-    return RelationInstance(
-        image_id=-1,
-        subject_class=subj,
-        object_class=obj,
-        gt_predicate=predicate,
-        subject_feature=obj_anchors[subj] + cfg.noise_scale * rng.standard_normal(d),
-        object_feature=obj_anchors[obj] + cfg.noise_scale * rng.standard_normal(d),
-        union_feature=pattern_anchors[predicate]
-        + cfg.noise_scale * rng.standard_normal(d),
-        subject_label_dist=_label_dist(
-            rng, subj, cfg.num_object_classes, cfg.label_noise
-        ),
-        object_label_dist=_label_dist(rng, obj, cfg.num_object_classes, cfg.label_noise),
-    )
-
-
-def _assign_images(rng, instances, vocab, relations_per_image):
-    """Pack relations into group-coherent synthetic images.
+def _assign_images(rng, parents, relations_per_image):
+    """Pack relations, given by their head groups, into group-coherent images.
 
     Every image draws its relations from two or three head groups, so the
     rest of an image carries evidence about which interaction patterns are
     plausible for each relation (the signal the context encoder exploits).
     Exact per-predicate counts are preserved: samples are only regrouped,
-    never resampled.
+    never resampled. Returns the packed row order and each row's image id.
     """
     pools = {}
-    for inst in instances:
-        parent = int(vocab.parent_of[inst.gt_predicate])
-        pools.setdefault(parent, []).append(inst)
+    for row, parent in enumerate(parents.tolist()):
+        pools.setdefault(parent, []).append(row)
     for parent in pools:
         pool = pools[parent]
         order = rng.permutation(len(pool))
         pools[parent] = [pool[i] for i in order]
 
-    packed = []
+    packed, image_ids = [], []
     image_id = 0
     while pools:
         parents = sorted(pools)
@@ -235,13 +243,12 @@ def _assign_images(rng, instances, vocab, relations_per_image):
                     break
                 active = [sorted(pools)[int(rng.integers(0, len(pools)))]]
             parent = active[int(rng.integers(0, len(active)))]
-            inst = pools[parent].pop()
-            inst.image_id = image_id
-            packed.append(inst)
+            packed.append(pools[parent].pop())
+            image_ids.append(image_id)
             if not pools[parent]:
                 del pools[parent]
         image_id += 1
-    return packed
+    return packed, image_ids
 
 
 def generate_dataset(cfg):
@@ -268,33 +275,38 @@ def generate_dataset(cfg):
             int(rng.integers(1, n_obj + 1)),
         )
 
-    train = []
-    for i in range(1, n_pred + 1):
-        parent = int(vocab.parent_of[i])
-        for _ in range(int(vocab.train_counts[i])):
-            train.append(
-                _sample_instance(
-                    rng, cfg, i, parent, obj_anchors, pattern_anchors, canonical_pairs
-                )
-            )
-    train = _assign_images(rng, train, vocab, cfg.relations_per_image)
+    def split(per_predicate):
+        """per_predicate relations of each predicate, packed into images."""
+        predicates = np.repeat(np.arange(1, n_pred + 1), per_predicate)
+        parents = vocab.parent_of[predicates]
+        ids = np.zeros((len(predicates), 3), dtype=np.int64)
+        x = np.empty((len(predicates), 3 * d + 2 * (n_obj + 1)))
+        for row, predicate in enumerate(predicates.tolist()):
+            if rng.random() < cfg.pair_concentration:
+                subj, obj = canonical_pairs[int(parents[row])]
+            else:
+                subj = int(rng.integers(1, n_obj + 1))
+                obj = int(rng.integers(1, n_obj + 1))
+            ids[row] = subj, obj, predicate
+            x[row] = np.concatenate([  # the FEATURE_FIELDS, drawn in this order
+                obj_anchors[subj] + cfg.noise_scale * rng.standard_normal(d),
+                obj_anchors[obj] + cfg.noise_scale * rng.standard_normal(d),
+                pattern_anchors[predicate] + cfg.noise_scale * rng.standard_normal(d),
+                _label_dist(rng, subj, n_obj, cfg.label_noise),
+                _label_dist(rng, obj, n_obj, cfg.label_noise),
+            ])
+        order, image_ids = _assign_images(rng, parents, cfg.relations_per_image)
+        return RelationTable(np.column_stack([image_ids, ids[order]]), x[order],
+                             n_obj, d)
 
+    train = split(vocab.train_counts[1:])
     per_class = cfg.num_test // n_pred
     if per_class < 1:
         raise ConfigurationError(
             f"num_test={cfg.num_test} is too small for a class-balanced split "
             f"over {n_pred} predicates"
         )
-    test = []
-    for i in range(1, n_pred + 1):
-        parent = int(vocab.parent_of[i])
-        for _ in range(per_class):
-            test.append(
-                _sample_instance(
-                    rng, cfg, i, parent, obj_anchors, pattern_anchors, canonical_pairs
-                )
-            )
-    test = _assign_images(rng, test, vocab, cfg.relations_per_image)
+    test = split(per_class)
     return vocab, train, test
 
 
@@ -324,34 +336,38 @@ def group_split(vocab):
     return many, medium, few
 
 
-def build_prior_bias(train, vocab, epsilon=1e-3):
+def build_prior_bias(train, vocab):
     """Laplace-smoothed log-frequency bias per (subject, object) pair.
 
-    table[s][o][r] = log((count(s,o,r) + eps) / (count(s,o) + eps*(R+1)));
-    pairs never observed get an all-zero slice.
+    table[s][o][r] = log((count(s,o,r) + eps) / (count(s,o) + eps*(R+1)))
+    with eps = PRIOR_EPSILON; pairs never observed get an all-zero slice.
     """
-    if not train:
+    if not len(train):
         raise ValueError("prior bias needs a nonempty training split")
-    n_obj = train[0].subject_label_dist.shape[0] - 1
+    n_obj = train.num_object_classes
     n_classes = vocab.num_predicates + 1
     counts = np.zeros((n_obj + 1, n_obj + 1, n_classes))
-    for inst in train:
-        counts[inst.subject_class, inst.object_class, inst.gt_predicate] += 1.0
+    np.add.at(counts, tuple(train.ids[:, 1:].T), 1.0)
     totals = counts.sum(axis=2)
     table = np.zeros_like(counts)
     seen = totals > 0
     table[seen] = np.log(
-        (counts[seen] + epsilon) / (totals[seen][:, None] + epsilon * n_classes)
+        (counts[seen] + PRIOR_EPSILON)
+        / (totals[seen][:, None] + PRIOR_EPSILON * n_classes)
     )
     return PriorBias(table)
 
 
-def relations_by_image(instances):
-    """Group instances into per-image lists, ordered by image id."""
-    groups = {}
-    for inst in instances:
-        groups.setdefault(inst.image_id, []).append(inst)
-    return [groups[i] for i in sorted(groups)]
+def relations_by_image(table):
+    """Per-image slices of a table, in image-id order; image ids that
+    decrease from one row to the next raise ValueError."""
+    if not len(table):
+        return []
+    steps = np.diff(table.ids[:, 0])
+    if (steps < 0).any():
+        raise ValueError("image ids must not decrease from one row to the next")
+    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), len(table)]
+    return [table[start:stop] for start, stop in zip(edges[:-1], edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +390,30 @@ def open_atomic(path, mode="w"):
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading.
+
+    Bytes that are not UTF-8, wherever the block meets them, raise one
+    ValueError that names the file and the line of the first such byte.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}, line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                f"text ({exc.reason})"
+            ) from None
         raise
 
 
@@ -403,7 +443,7 @@ def load_vocabulary(path):
     parent that is not a head predicate (the background's parent is -1).
     """
     names, counts, parents = [], [], []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             tok = line.split()
             if len(tok) != 4:
@@ -446,16 +486,16 @@ def load_vocabulary(path):
     )
 
 
-def save_relations(path, instances, num_object_classes, num_predicates, feature_dim):
+def save_relations(path, table, num_object_classes, num_predicates, feature_dim):
     with open_atomic(path) as fh:
         fh.write(
             f"relations {DATASET_FORMAT_VERSION} {num_object_classes} "
             f"{num_predicates} {feature_dim}\n"
         )
-        for inst in instances:
-            ids = " ".join(str(getattr(inst, field)) for field in ID_FIELDS)
-            row = np.concatenate([getattr(inst, field) for field in FEATURE_FIELDS])
-            fh.write(f"{ids} {' '.join(map(repr, row.tolist()))}\n")
+        # row by row: a whole split as Python floats is far larger than x
+        for ids, row in zip(table.ids, table.x):
+            fh.write(f"{' '.join(map(str, ids.tolist()))} "
+                     f"{' '.join(map(repr, row.tolist()))}\n")
 
 
 def _show(value):
@@ -514,16 +554,16 @@ def _check_relations(path, rows, widths, n_obj, n_pred):
 
 
 def load_relations(path):
-    """Returns (instances, num_object_classes, num_predicates, feature_dim).
+    """Returns (table, num_object_classes, num_predicates, feature_dim).
 
-    The body is read into one float matrix; each instance's arrays are
-    slices of its row. A malformed header or body, an id that is not an
-    integer or is out of range, a non-finite value, a label distribution
-    that is negative or does not sum to 1, or image ids that do not start at
-    0 and rise by 0 or 1 per line raise one ValueError naming the file (and
-    for the body, the line and the field).
+    The body is read into one float matrix, validated, and split into the
+    table's ids and x. A malformed header or body, bytes that are not UTF-8,
+    an id that is not an integer or is out of range, a non-finite value, a
+    label distribution that is negative or does not sum to 1, or image ids
+    that do not start at 0 and rise by 0 or 1 per line raise one ValueError
+    naming the file (and for the body, the line and the field).
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "relations":
             raise ValueError(f"{path} is not a relation file")
@@ -547,19 +587,17 @@ def load_relations(path):
                 # an empty body is an empty split, not a warning
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+        except UnicodeDecodeError:
+            raise  # open_text names the line
         except ValueError as exc:
             raise ValueError(f"{path}: malformed relation data: {exc}") from None
     widths = (d, d, d, n_obj + 1, n_obj + 1)
     if rows.size == 0:
         rows = rows.reshape(0, 4 + sum(widths))
     _check_relations(path, rows, widths, n_obj, n_pred)
-    bounds = np.cumsum((4,) + widths).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    instances = [
-        RelationInstance(*ids, *(row[start:stop] for start, stop in spans))
-        for ids, row in zip(rows[:, :4].astype(np.int64).tolist(), rows)
-    ]
-    return instances, n_obj, n_pred, d
+    table = RelationTable(rows[:, :4].astype(np.int64),
+                          np.ascontiguousarray(rows[:, 4:]), n_obj, d)
+    return table, n_obj, n_pred, d
 
 
 def save_dataset(directory, cfg, vocab, train, test):

@@ -38,7 +38,7 @@ def cross_entropy_rows(logits, labels):
     return losses, grads
 
 
-def effective_number_weights(train_counts, beta_en=0.999):
+def effective_number_weights(train_counts, beta_en):
     """Class-balanced weights from effective sample numbers.
 
     w_i is proportional to (1 - beta_en) / (1 - beta_en**n_i), rescaled so

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semantic_context
-from .datagen import FEATURE_FIELDS, open_atomic
+from .datagen import open_atomic
 from .numerics import (
     ParamStore,
     linear_backward,
@@ -52,8 +52,8 @@ class DualBranchModel:
         return 3 * self.feature_dim + 2 * (self.num_object_classes + 1)
 
     @classmethod
-    def build(cls, num_object_classes, num_predicates, feature_dim, hidden_dim=64,
-              context_dim=64, prior_table=None, seed=0):
+    def build(cls, num_object_classes, num_predicates, feature_dim, hidden_dim,
+              context_dim, prior_table=None, seed=0):
         """Deterministically initialized model; prior defaults to all-zero."""
         rng = np.random.default_rng(seed)
         model = cls(
@@ -106,23 +106,19 @@ def parameter_specs(num_object_classes, num_predicates, feature_dim, hidden_dim,
     return specs
 
 
-def instance_matrix(model, instances):
-    """Stack instances into the extractor input matrix, validating dims."""
-    for inst in instances:
-        if inst.subject_feature.shape[0] != model.feature_dim:
-            raise ValueError(
-                f"feature dim {inst.subject_feature.shape[0]} does not match "
-                f"model feature_dim {model.feature_dim}"
-            )
-        if inst.subject_label_dist.shape[0] != model.num_object_classes + 1:
-            raise ValueError(
-                "label distribution width does not match the model's object classes"
-            )
-    return np.concatenate(
-        [np.array([getattr(inst, field) for inst in instances])
-         for field in FEATURE_FIELDS],
-        axis=-1,
-    )
+def _check_dims(model, feature_dim, num_object_classes):
+    dims = (model.feature_dim, model.num_object_classes)
+    if (feature_dim, num_object_classes) != dims:
+        raise ValueError(
+            f"relations of feature dim {feature_dim} and {num_object_classes} object "
+            f"classes do not fit the model's {dims[0]} and {dims[1]}"
+        )
+
+
+def instance_matrix(model, table):
+    """A relation table's extractor input rows, its dims checked."""
+    _check_dims(model, table.feature_dim, table.num_object_classes)
+    return table.x
 
 
 def image_runs(images):
@@ -135,13 +131,12 @@ def image_runs(images):
 
 
 def run_inputs(model, images):
-    """Inputs of a run of equal-size images: the (G, n, input_dim) extractor
-    input and the (G, n) subject, object and predicate id stacks."""
-    flat = [inst for image in images for inst in image]
-    shape = (len(images), len(images[0]))
-    ids = np.array([(i.subject_class, i.object_class, i.gt_predicate) for i in flat])
-    return (instance_matrix(model, flat).reshape(*shape, -1),
-            *ids.T.reshape(3, *shape))
+    """Inputs of a run of equal-size images (table slices): the (G, n,
+    input_dim) extractor input and the (G, n) subject, object, predicate ids."""
+    _check_dims(model, images[0].feature_dim, images[0].num_object_classes)
+    ids = np.stack([image.ids for image in images])
+    return (np.stack([image.x for image in images]),
+            ids[..., 1], ids[..., 2], ids[..., 3])
 
 
 def label_dists(model, x):
@@ -180,7 +175,9 @@ def extractor_backward(model, cache, grad_h):
 
 def extract_features(model, instance):
     """Context vector for one relation; identical for both branches."""
-    h, _ = extractor_forward(model, instance_matrix(model, [instance]))
+    _check_dims(model, instance.subject_feature.shape[0],
+                instance.subject_label_dist.shape[0] - 1)
+    h, _ = extractor_forward(model, instance.x[None, :])
     return h[0]
 
 
@@ -265,12 +262,12 @@ def fine_branch_rows(model, x, subjects, objects, predicates=None):
     )
 
 
-def fine_branch_forward(model, instances, with_gap=True):
-    """``fine_branch_rows`` for one image's relations; the gap loss is
+def fine_branch_forward(model, image, with_gap=True):
+    """``fine_branch_rows`` for one image's relation table; the gap loss is
     skipped unless with_gap is true."""
-    if not instances:
+    if not len(image):
         raise ValueError("need at least one relation in the image")
-    x, subjects, objects, predicates = (a[0] for a in run_inputs(model, [instances]))
+    x, subjects, objects, predicates = (a[0] for a in run_inputs(model, [image]))
     return fine_branch_rows(model, x, subjects, objects, predicates if with_gap else None)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import group_split, head_set, open_atomic, relations_by_image
+from .datagen import group_split, head_set, open_atomic, open_text, relations_by_image
 from .losses import (
     LossBreakdown,
     cross_entropy_rows,
@@ -271,7 +271,7 @@ def _make_context(cfg, constants, k, batch):
     )
 
 
-def train(cfg, vocab, train_instances, model, eval_instances=None):
+def train(cfg, vocab, train_split, model, eval_instances=None):
     """Run the curriculum loop; mutates the model, returns the TrainLog.
 
     When eval_instances is given, an evaluation snapshot is appended every
@@ -284,7 +284,7 @@ def train(cfg, vocab, train_instances, model, eval_instances=None):
                 "distillation needs at least two head predicates; raise or "
                 "lower head_threshold, or disable distillation"
             )
-    images = relations_by_image(train_instances)
+    images = relations_by_image(train_split)
     if not images:
         raise ValueError("training split is empty")
     constants = _constant_context(cfg, vocab)
@@ -353,11 +353,7 @@ def predictions_for_images(model, images):
         logits = fine_branch_rows(model, x, subjects, objects).output_logits
         scores.append(softmax(logits, axis=-1)[..., 1:].ravel())
     n_pred = model.num_predicates
-    ids = np.asarray(
-        [(inst.image_id, inst.subject_class, inst.object_class)
-         for image in images for inst in image],
-        dtype=np.int64,
-    )
+    ids = np.concatenate([image.ids[:, :3] for image in images])
     return TripleTable(
         *(np.repeat(column, n_pred) for column in ids.T),
         predicate=np.tile(np.arange(1, n_pred + 1), len(ids)),
@@ -365,17 +361,13 @@ def predictions_for_images(model, images):
     )
 
 
-def evaluate(model, test_instances, vocab, ks=DEFAULT_KS):
+def evaluate(model, test_split, vocab, ks=DEFAULT_KS):
     """Fine-branch evaluation report over the test split."""
-    if not test_instances:
+    if not len(test_split):
         raise ValueError("evaluation needs a nonempty test split")
-    images = relations_by_image(test_instances)
+    images = relations_by_image(test_split)
     preds = predictions_for_images(model, images)
-    gts = TripleTable.from_rows([
-        (inst.image_id, inst.subject_class, inst.object_class, inst.gt_predicate)
-        for inst in test_instances
-        if inst.gt_predicate != 0
-    ])
+    gts = TripleTable(*test_split.ids[test_split.ids[:, 3] != 0].T)
     groups = group_split(vocab)
     return compute_report(preds, gts, vocab.num_predicates, groups, ks)
 
@@ -450,7 +442,7 @@ def parse_log(path):
     one ValueError names the file, the line or iteration, and the field.
     """
     rows = {record: [] for record in _LOG_RECORDS}
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if header[:2] != ["#", "training-log"]:
             raise ValueError(f"{path} is not a training log")

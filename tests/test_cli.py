@@ -129,6 +129,8 @@ def test_eval_truncated_checkpoint_is_one_error_line(workspace, capsys):
         num_object_classes=gcfg.num_object_classes,
         num_predicates=gcfg.num_predicates,
         feature_dim=gcfg.feature_dim,
+        hidden_dim=64,
+        context_dim=64,
     )
     ckpt = workspace / "model.ckpt"
     save_checkpoint(ckpt, model)
@@ -350,6 +352,18 @@ def _edit_line(name, line, edit):
     return change
 
 
+def _non_utf8(name, line):
+    """A dataset defect: byte 0xff at the end of one line of one file."""
+
+    def change(data):
+        path = data / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+
+    return change
+
+
 def _set(column, value):
     def edit(tokens):
         tokens[column] = value(tokens[column]) if callable(value) else value
@@ -370,6 +384,8 @@ def _model_with(**dims):
             "num_object_classes": model.num_object_classes,
             "num_predicates": model.num_predicates,
             "feature_dim": model.feature_dim,
+            "hidden_dim": model.hidden_dim,
+            "context_dim": model.context_dim,
             **dims,
         }))
 
@@ -395,6 +411,9 @@ BAD_INPUTS = [
                  id="learning_rate=nan"),
     pytest.param("generate", {"tail_offset_scale": "nan"}, "tail_offset_scale",
                  id="tail_offset_scale=nan"),
+    # "\udcff" is written as the byte 0xff
+    pytest.param("generate", {"seed": "9\udcff"}, ("bad.cfg", "line 8", "UTF-8"),
+                 id="config-non-utf8"),
     pytest.param("eval", _renamed_parameter, "decoder.fine.w", id="renamed-parameter"),
     pytest.param("eval", _nan_bias, "decoder.fine.b", id="nan-bias"),
     pytest.param("eval", _zero_hidden_dim, "hidden_dim", id="zero-hidden-dim"),
@@ -413,6 +432,13 @@ BAD_INPUTS = [
                  ("vocab.txt", "line 3", "4 fields"), id="vocab-line-of-3-fields"),
     pytest.param("data", _edit_line("vocab.txt", 5, _set(3, "77")),
                  ("vocab.txt", "line 5", "parent"), id="vocab-parent-77"),
+    pytest.param("data", _non_utf8("vocab.txt", 4), ("vocab.txt", "line 4", "UTF-8"),
+                 id="vocab-non-utf8"),
+    # line 200 is past the header's read buffer: np.loadtxt meets the byte
+    pytest.param("data", _non_utf8("train.txt", 200), ("train.txt", "line 200", "UTF-8"),
+                 id="train-non-utf8"),
+    pytest.param("data", _non_utf8("test.txt", 1), ("test.txt", "line 1", "UTF-8"),
+                 id="test-header-non-utf8"),
     pytest.param("mismatch", _model_with(num_predicates=4), "num_predicates",
                  id="4-predicate-checkpoint"),
     pytest.param("mismatch", _model_with(num_object_classes=8), "num_object_classes",
@@ -430,6 +456,7 @@ BAD_INPUTS = [
                  id="eval-field-without-value"),
     pytest.param("report", EVALPRED_LINES, ("iteration 10", "K=10", "index 2"),
                  id="evalpred-missing-a-k"),
+    pytest.param("report", f"{ITER_LINE}\udcff", ("line 2", "UTF-8"), id="log-non-utf8"),
 ]
 
 
@@ -444,6 +471,8 @@ def test_bad_input_is_one_error_line_and_no_output(
             num_object_classes=gcfg.num_object_classes,
             num_predicates=gcfg.num_predicates,
             feature_dim=gcfg.feature_dim,
+            hidden_dim=64,
+            context_dim=64,
         )
         ckpt = inputs = tmp_path / "model.ckpt"
         change(ckpt, model)
@@ -464,15 +493,14 @@ def test_bad_input_is_one_error_line_and_no_output(
         argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]
     elif command == "report":
         log = inputs = tmp_path / "train.log"
-        log.write_text(f"# training-log 1\n{change}\n")
+        log.write_bytes(f"# training-log 1\n{change}\n".encode("utf-8", "surrogateescape"))
         named = [*named, str(log)]
         argv = ["report", "--log", str(log), "--out", str(out)]
     else:
         cfg = inputs = tmp_path / "bad.cfg"
-        cfg.write_text(
-            _config_text(GEN_CFG if command == "generate" else TRAIN_CFG, **change)
-        )
-        named = [named]
+        text = _config_text(GEN_CFG if command == "generate" else TRAIN_CFG, **change)
+        cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+        named = [named] if isinstance(named, str) else list(named)
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if command == "train":
             argv += ["--data", str(generated)]

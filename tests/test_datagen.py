@@ -1,8 +1,11 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from dualrel.datagen import (
     GeneratorConfig,
+    RelationTable,
     build_prior_bias,
     generate_dataset,
     group_split,
@@ -107,7 +110,7 @@ class TestGenerateDataset:
 
     def test_label_distributions_normalized(self):
         _, train, test = generate_dataset(SMALL)
-        for inst in train[:100] + test[:100]:
+        for inst in [*train[:100], *test[:100]]:
             assert abs(inst.subject_label_dist.sum() - 1.0) <= 1e-9
             assert abs(inst.object_label_dist.sum() - 1.0) <= 1e-9
             assert np.all(inst.subject_label_dist >= 0)
@@ -207,27 +210,24 @@ class TestPriorBias:
     def test_single_observation_dominates(self):
         vocab = vocab_with_counts([1, 1, 1, 1])
         _, train, _ = generate_dataset(SMALL)
-        inst = train[0]
-        inst.subject_class, inst.object_class, inst.gt_predicate = 1, 2, 3
-        prior = build_prior_bias([inst], vocab)
+        one = replace(train[:1], ids=np.array([[train[0].image_id, 1, 2, 3]]))
+        prior = build_prior_bias(one, vocab)
         assert int(np.argmax(prior.table[1, 2])) == 3
 
     def test_unseen_pair_is_zero(self):
         vocab = vocab_with_counts([1, 1, 1])
         _, train, _ = generate_dataset(SMALL)
-        inst = train[0]
-        inst.subject_class, inst.object_class, inst.gt_predicate = 1, 2, 3
-        prior = build_prior_bias([inst], vocab)
+        one = replace(train[:1], ids=np.array([[train[0].image_id, 1, 2, 3]]))
+        prior = build_prior_bias(one, vocab)
         np.testing.assert_array_equal(prior.table[0, 0], 0.0)
         np.testing.assert_array_equal(prior.table[2, 1], 0.0)
 
     def test_log_ratio_formula(self):
         vocab = vocab_with_counts([1, 1])
         _, train, _ = generate_dataset(SMALL)
-        base = train[:4]
-        for inst, predicate in zip(base, [1, 1, 1, 2]):
-            inst.subject_class, inst.object_class = 3, 4
-            inst.gt_predicate = predicate
+        ids = train.ids[:4].copy()
+        ids[:, 1:] = [(3, 4, predicate) for predicate in [1, 1, 1, 2]]
+        base = replace(train[:4], ids=ids)
         prior = build_prior_bias(base, vocab)
         eps = 1e-3
         expected = np.log((3 + eps) / (1 + eps))
@@ -239,6 +239,38 @@ class TestPriorBias:
         vocab = vocab_with_counts([1])
         with pytest.raises(ValueError):
             build_prior_bias([], vocab)
+
+
+class TestRelationTable:
+    def test_image_slices_concatenate_back_to_the_table(self):
+        _, train, _ = generate_dataset(SMALL)
+        images = relations_by_image(train)
+        assert all(len(set(image.ids[:, 0].tolist())) == 1 for image in images)
+        assert len({int(image.ids[0, 0]) for image in images}) == len(images)
+        np.testing.assert_array_equal(
+            np.concatenate([image.ids for image in images]), train.ids
+        )
+        assert np.concatenate([image.x for image in images]).tobytes() == (
+            train.x.tobytes()
+        )
+
+    def test_decreasing_image_ids_rejected(self):
+        _, train, _ = generate_dataset(SMALL)
+        with pytest.raises(ValueError, match="must not decrease"):
+            relations_by_image(train[::-1])
+
+    def test_row_view_is_a_frozen_view_of_its_row(self):
+        _, train, _ = generate_dataset(SMALL)
+        row = train[7]
+        assert [row.image_id, row.subject_class, row.object_class,
+                row.gt_predicate] == train.ids[7].tolist()
+        assert all(np.shares_memory(getattr(row, name), train.x[7])
+                   for name in ("subject_feature", "object_label_dist"))
+        with pytest.raises(FrozenInstanceError):
+            row.gt_predicate = 1
+        with pytest.raises(FrozenInstanceError):
+            row.union_feature = np.zeros(SMALL.feature_dim)
+        assert len(list(train)) == len(train)
 
 
 class TestDatasetFiles:
@@ -255,8 +287,8 @@ class TestDatasetFiles:
         with pytest.raises(AttributeError):
             # the header and ten relations are written before the bad entry
             save_relations(
-                path, train[:10] + [None], cfg.num_object_classes,
-                cfg.num_predicates, cfg.feature_dim,
+                path, replace(train[:11], x=[*train.x[:10], None]),
+                cfg.num_object_classes, cfg.num_predicates, cfg.feature_dim,
             )
         assert [p.name for p in tmp_path.iterdir()] == (
             [] if existing is None else ["train.txt"]
@@ -331,5 +363,7 @@ class TestDatasetFiles:
 
     def test_empty_body_is_an_empty_split(self, tmp_path):
         path = tmp_path / "empty.txt"
-        save_relations(path, [], 4, 6, 5)
-        assert load_relations(path) == ([], 4, 6, 5)
+        save_relations(path, RelationTable(np.zeros((0, 4), np.int64),
+                                           np.zeros((0, 25)), 4, 5), 4, 6, 5)
+        table, *dims = load_relations(path)
+        assert (len(table), *dims) == (0, 4, 6, 5)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrel.datagen import GeneratorConfig, build_prior_bias, generate_dataset
+from dualrel.datagen import (
+    FEATURE_FIELDS,
+    GeneratorConfig,
+    build_prior_bias,
+    generate_dataset,
+    load_relations,
+    relations_by_image,
+    save_relations,
+)
 from dualrel.losses import cross_entropy_rows
 from dualrel.model import (
     DualBranchModel,
@@ -17,10 +25,12 @@ from dualrel.model import (
     extractor_backward,
     extractor_forward,
     fine_branch_forward,
+    image_runs,
     instance_matrix,
     load_checkpoint,
     parameter_specs,
     parse_checkpoint,
+    run_inputs,
     save_checkpoint,
 )
 from dualrel.numerics import grad_check
@@ -51,6 +61,45 @@ def model(dataset):
     )
 
 
+def feature_rows(rows):
+    """Each row view's FEATURE_FIELDS concatenated, one row each."""
+    return np.array(
+        [np.concatenate([getattr(row, name) for name in FEATURE_FIELDS]) for row in rows]
+    )
+
+
+@pytest.fixture(params=["generated", "loaded"])
+def split(request, dataset, tmp_path):
+    _, train, _ = dataset
+    if request.param == "generated":
+        return train
+    path = tmp_path / "train.txt"
+    save_relations(path, train, CFG.num_object_classes, CFG.num_predicates,
+                   CFG.feature_dim)
+    return load_relations(path)[0]
+
+
+class TestTableInputs:
+    def test_instance_matrix_is_each_rows_feature_fields(self, split, model):
+        x = instance_matrix(model, split)
+        assert x.flags.c_contiguous
+        assert x.shape == (len(split), model.input_dim)
+        assert x.tobytes() == feature_rows(split).tobytes()
+
+    def test_run_inputs_are_each_rows_fields(self, split, model):
+        images = relations_by_image(split)
+        for start, stop in image_runs(images):
+            run = images[start:stop]
+            x, subjects, objects, predicates = run_inputs(model, run)
+            rows = [row for image in run for row in image]
+            assert x.dtype == np.float64
+            assert x.tobytes() == feature_rows(rows).tobytes()
+            assert x.shape == (len(run), len(run[0]), model.input_dim)
+            expected = [[r.subject_class, r.object_class, r.gt_predicate] for r in rows]
+            got = np.stack([subjects, objects, predicates], axis=-1).reshape(-1, 3)
+            assert got.tolist() == expected
+
+
 class TestExtractor:
     def test_identical_context_for_both_branches(self, dataset, model):
         _, train, _ = dataset
@@ -77,7 +126,7 @@ class TestExtractor:
                           inst.subject_class, inst.object_class)
         # perturb a first-layer weight feeding a relu unit that is active
         # for this instance, so the change must reach both branches
-        _, cache = extractor_forward(model, instance_matrix(model, [inst]))
+        _, cache = extractor_forward(model, instance_matrix(model, train[:1]))
         active_unit = int(np.argmax(cache["pre"][0]))
         assert cache["pre"][0, active_unit] > 0
         model.store["extractor.l1.w"][0, active_unit] += 0.5
@@ -153,14 +202,14 @@ class TestDecode:
 class TestFineBranchForward:
     def test_zero_correction_head_means_output_equals_fine(self, dataset, model):
         _, train, _ = dataset
-        image = [inst for inst in train if inst.image_id == 0]
+        image = relations_by_image(train)[0]
         result = fine_branch_forward(model, image)
         np.testing.assert_array_equal(result.correction, 0.0)
         np.testing.assert_array_equal(result.output_logits, result.fine_logits)
 
     def test_single_relation_shape(self, dataset, model):
         _, train, _ = dataset
-        result = fine_branch_forward(model, [train[0]])
+        result = fine_branch_forward(model, train[:1])
         assert result.output_logits.shape == (1, CFG.num_predicates + 1)
 
     def test_permutation_equivariance(self, dataset, model):
@@ -168,10 +217,10 @@ class TestFineBranchForward:
         w = model.store["context.classifier.w"]
         w += rng.normal(size=w.shape) * 0.2
         _, train, _ = dataset
-        image = [inst for inst in train if inst.image_id == 1]
+        image = relations_by_image(train)[1]
         assert len(image) >= 2
         result = fine_branch_forward(model, image)
-        swapped = list(reversed(image))
+        swapped = image[::-1]
         result_swapped = fine_branch_forward(model, swapped)
         np.testing.assert_allclose(
             result_swapped.output_logits,
@@ -188,7 +237,7 @@ class TestFineBranchForward:
 class TestSharedExtractorGradients:
     def test_joint_loss_gradcheck_and_additivity(self, dataset, model):
         _, train, _ = dataset
-        image = [inst for inst in train if inst.image_id == 2][:3]
+        image = relations_by_image(train)[2][:3]
         labels = np.asarray([inst.gt_predicate for inst in image])
         subjects = [inst.subject_class for inst in image]
         objects = [inst.object_class for inst in image]
