@@ -1,11 +1,11 @@
 """Command-line entry points.
 
 Subcommands: generate (config -> dataset files), train (config + dataset ->
-checkpoint + training log), eval (checkpoint + dataset -> report file), and
-report (training log -> schedule trace and per-predicate table). Output
-files are written after the computation succeeds, each through a temp
-file renamed into place (``datagen.open_atomic``), so a failing run leaves
-no partial artifacts.
+checkpoint + training log), eval (checkpoint + the dataset's vocab.txt and
+test.txt -> report file), and report (training log -> schedule trace and
+per-predicate table). Output files are written after the computation
+succeeds, each through a temp file renamed into place
+(``datagen.open_atomic``), so a failing run leaves no partial artifacts.
 """
 
 import argparse
@@ -17,6 +17,8 @@ from .datagen import (
     build_prior_bias,
     generate_dataset,
     load_dataset,
+    load_split,
+    load_vocabulary,
     open_atomic,
     save_dataset,
 )
@@ -99,9 +101,12 @@ def _cmd_eval(args):
     if not ks:
         raise ValueError("--ks must name at least one K")
     model = load_checkpoint(args.checkpoint)
-    vocab, _, test_split, n_obj, feature_dim = load_dataset(args.data)
+    # eval scores the test split only: train.txt is not read
+    vocab = load_vocabulary(os.path.join(args.data, "vocab.txt"))
+    test_split = load_split(args.data, "test.txt", vocab)
     for key, value in (("num_predicates", vocab.num_predicates),
-                       ("num_object_classes", n_obj), ("feature_dim", feature_dim)):
+                       ("num_object_classes", test_split.num_object_classes),
+                       ("feature_dim", test_split.feature_dim)):
         if getattr(model, key) != value:
             raise ValueError(
                 f"{args.checkpoint}: the model's {key} is {getattr(model, key)}, "

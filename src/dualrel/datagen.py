@@ -201,14 +201,6 @@ def _build_vocabulary(cfg):
     return PredicateVocabulary(names, counts, np.asarray(parents, dtype=np.int64))
 
 
-def _label_dist(rng, true_class, num_object_classes, label_noise):
-    dist = np.zeros(num_object_classes + 1)
-    dist[true_class] = 1.0
-    noise = rng.random(num_object_classes + 1)
-    noise /= noise.sum()
-    return (1.0 - label_noise) * dist + label_noise * noise
-
-
 def _assign_images(rng, parents, relations_per_image):
     """Pack relations, given by their head groups, into group-coherent images.
 
@@ -235,18 +227,21 @@ def _assign_images(rng, parents, relations_per_image):
         chosen = rng.choice(
             len(parents), size=take, replace=False, p=sizes / sizes.sum()
         )
+        # a parent leaves `active` when, and only when, its pool empties
         active = [parents[i] for i in sorted(chosen)]
+        start = len(packed)
         for _ in range(relations_per_image):
-            active = [p for p in active if pools.get(p)]
             if not active:
                 if not pools:
                     break
                 active = [sorted(pools)[int(rng.integers(0, len(pools)))]]
             parent = active[int(rng.integers(0, len(active)))]
-            packed.append(pools[parent].pop())
-            image_ids.append(image_id)
-            if not pools[parent]:
+            pool = pools[parent]
+            packed.append(pool.pop())
+            if not pool:
                 del pools[parent]
+                active.remove(parent)
+        image_ids += [image_id] * (len(packed) - start)
         image_id += 1
     return packed, image_ids
 
@@ -276,25 +271,42 @@ def generate_dataset(cfg):
         )
 
     def split(per_predicate):
-        """per_predicate relations of each predicate, packed into images."""
+        """per_predicate relations of each predicate, packed into images.
+
+        The row loop only draws, in the order the FEATURE_FIELDS are laid
+        out: the three feature noises are one standard-normal stream and
+        the two label-distribution noises one uniform stream. The arithmetic
+        then runs over the whole split, each element getting the same IEEE
+        operations a row at a time would give it.
+        """
         predicates = np.repeat(np.arange(1, n_pred + 1), per_predicate)
         parents = vocab.parent_of[predicates]
-        ids = np.zeros((len(predicates), 3), dtype=np.int64)
-        x = np.empty((len(predicates), 3 * d + 2 * (n_obj + 1)))
-        for row, predicate in enumerate(predicates.tolist()):
+        n, w = len(predicates), n_obj + 1
+        pairs = []
+        x = np.empty((n, 3 * d + 2 * w))
+        for parent, noise, dist_noise in zip(parents.tolist(), x[:, : 3 * d],
+                                             x[:, 3 * d :]):
             if rng.random() < cfg.pair_concentration:
-                subj, obj = canonical_pairs[int(parents[row])]
+                pairs.append(canonical_pairs[parent])
             else:
-                subj = int(rng.integers(1, n_obj + 1))
-                obj = int(rng.integers(1, n_obj + 1))
-            ids[row] = subj, obj, predicate
-            x[row] = np.concatenate([  # the FEATURE_FIELDS, drawn in this order
-                obj_anchors[subj] + cfg.noise_scale * rng.standard_normal(d),
-                obj_anchors[obj] + cfg.noise_scale * rng.standard_normal(d),
-                pattern_anchors[predicate] + cfg.noise_scale * rng.standard_normal(d),
-                _label_dist(rng, subj, n_obj, cfg.label_noise),
-                _label_dist(rng, obj, n_obj, cfg.label_noise),
-            ])
+                pairs.append((int(rng.integers(1, n_obj + 1)),
+                              int(rng.integers(1, n_obj + 1))))
+            rng.standard_normal(out=noise)
+            rng.random(out=dist_noise)
+        ids = np.column_stack([np.array(pairs, dtype=np.int64).reshape(n, 2),
+                               predicates])
+        # features: anchor + noise_scale * noise, one (n, d) gather at a time
+        x[:, : 3 * d] *= cfg.noise_scale
+        for block, (anchors, index) in enumerate(((obj_anchors, ids[:, 0]),
+                                                  (obj_anchors, ids[:, 1]),
+                                                  (pattern_anchors, predicates))):
+            x[:, block * d : (block + 1) * d] += anchors[index]
+        # label distributions: (1 - label_noise) * one_hot + label_noise * noise
+        # / noise.sum(), where the one-hot's zeros add exact zeros
+        dists = x[:, 3 * d :].reshape(n, 2, w)
+        dists /= dists.sum(axis=2, keepdims=True)
+        dists *= cfg.label_noise
+        dists[np.arange(n)[:, None], [0, 1], ids[:, :2]] += 1.0 - cfg.label_noise
         order, image_ids = _assign_images(rng, parents, cfg.relations_per_image)
         return RelationTable(np.column_stack([image_ids, ids[order]]), x[order],
                              n_obj, d)
@@ -487,6 +499,17 @@ def load_vocabulary(path):
 
 
 def save_relations(path, table, num_object_classes, num_predicates, feature_dim):
+    """Write a relation file; a header that would not describe the table's
+    rows (its num_object_classes or feature_dim differ from the table's)
+    raises one ValueError naming the file and the field, before anything
+    is written."""
+    for field, value in (("num_object_classes", num_object_classes),
+                         ("feature_dim", feature_dim)):
+        if value != getattr(table, field):
+            raise ValueError(
+                f"{path}: {field} is {value}, but the table's rows have "
+                f"{getattr(table, field)}"
+            )
     with open_atomic(path) as fh:
         fh.write(
             f"relations {DATASET_FORMAT_VERSION} {num_object_classes} "
@@ -613,16 +636,25 @@ def save_dataset(directory, cfg, vocab, train, test):
         )
 
 
+def load_split(directory, name, vocab):
+    """Load the relation file ``name`` of a dataset directory whose
+    vocabulary is ``vocab``; a header whose num_predicates differs from
+    the vocabulary's raises one ValueError naming the directory."""
+    table, _, n_pred, _ = load_relations(os.path.join(directory, name))
+    if n_pred != vocab.num_predicates:
+        raise ValueError(
+            f"{directory}: vocab.txt has {vocab.num_predicates} predicates, "
+            f"{name} {n_pred}"
+        )
+    return table
+
+
 def load_dataset(directory):
     """Returns (vocab, train, test, num_object_classes, feature_dim)."""
     vocab = load_vocabulary(os.path.join(directory, "vocab.txt"))
-    train, n_obj, n_pred, d = load_relations(os.path.join(directory, "train.txt"))
-    test, n_obj2, n_pred2, d2 = load_relations(os.path.join(directory, "test.txt"))
-    if (n_obj, n_pred, d) != (n_obj2, n_pred2, d2):
+    train = load_split(directory, "train.txt", vocab)
+    test = load_split(directory, "test.txt", vocab)
+    dims = (train.num_object_classes, train.feature_dim)
+    if dims != (test.num_object_classes, test.feature_dim):
         raise ValueError(f"{directory}: train.txt and test.txt headers disagree")
-    if n_pred != vocab.num_predicates:
-        raise ValueError(
-            f"{directory}: vocab.txt has {vocab.num_predicates} predicates, the "
-            f"relation files {n_pred}"
-        )
-    return vocab, train, test, n_obj, d
+    return vocab, train, test, *dims

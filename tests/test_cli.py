@@ -513,3 +513,65 @@ def test_bad_input_is_one_error_line_and_no_output(
     assert sorted(tmp_path.iterdir()) == sorted(
         inputs if isinstance(inputs, list) else [inputs]
     )
+
+
+# ---------------------------------------------------------------------------
+# eval reads the vocabulary and the test split, nothing else of the dataset
+# ---------------------------------------------------------------------------
+
+
+def test_eval_report_does_not_depend_on_train_txt(workspace):
+    data, run = workspace / "data", workspace / "run"
+    assert run_command(["generate", "--config", str(workspace / "gen.cfg"),
+                        "--out", str(data)]) == 0
+    assert run_command(["train", "--config", str(workspace / "train.cfg"),
+                        "--data", str(data), "--out", str(run)]) == 0
+    reports = []
+    for tag in ("with", "without"):
+        if tag == "without":
+            (data / "train.txt").unlink()
+        report = workspace / f"report_{tag}.txt"
+        assert run_command(["eval", "--checkpoint", str(run / "model.ckpt"),
+                            "--data", str(data), "--ks", "5,10",
+                            "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("change, named", [
+    pytest.param(_edit_line("test.txt", 3, _set(2, "1.5")),
+                 ["{data}/test.txt", "line 3", "object_class"], id="object-class-1.5"),
+    pytest.param(_edit_line("test.txt", 5, _set(4 + 2 * 8, "nan")),
+                 ["{data}/test.txt", "line 5", "union_feature[0]"], id="nan-feature"),
+    pytest.param(_edit_line("test.txt", 4, _scale(SUBJECT_DIST.start,
+                                                  SUBJECT_DIST.stop, 5.0)),
+                 ["{data}/test.txt", "line 4", "subject_label_dist"],
+                 id="label-dist-sums-to-5"),
+    # a header num_predicates of 9 lets every body line pass its own checks
+    pytest.param(_edit_line("test.txt", 1, _set(3, "9")),
+                 ["{data}:", "vocab.txt has 6 predicates", "test.txt 9"],
+                 id="header-predicates-disagree-with-vocab"),
+])
+def test_eval_test_split_defect_is_one_error_line(generated, tmp_path, capsys,
+                                                  change, named):
+    data = tmp_path / "data"
+    shutil.copytree(generated, data)
+    change(data)
+    gcfg = generator_config_from(_config_values(GEN_CFG))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, DualBranchModel.build(
+        num_object_classes=gcfg.num_object_classes,
+        num_predicates=gcfg.num_predicates,
+        feature_dim=gcfg.feature_dim,
+        hidden_dim=12,
+        context_dim=16,
+    ))
+    report = tmp_path / "report.txt"
+    capsys.readouterr()
+    status = run_command(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                          "--ks", "5", "--out", str(report)])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert all(name.format(data=data) in err for name in named), err
+    assert not report.exists()

@@ -6,6 +6,7 @@ import pytest
 from dualrel.datagen import (
     GeneratorConfig,
     RelationTable,
+    _build_vocabulary,
     build_prior_bias,
     generate_dataset,
     group_split,
@@ -147,6 +148,118 @@ class TestGenerateDataset:
             GeneratorConfig(num_head_predicates=0)
         with pytest.raises(ConfigurationError):
             GeneratorConfig(num_train=10)
+
+
+def _reference_label_dist(rng, true_class, num_object_classes, label_noise):
+    dist = np.zeros(num_object_classes + 1)
+    dist[true_class] = 1.0
+    noise = rng.random(num_object_classes + 1)
+    noise /= noise.sum()
+    return (1.0 - label_noise) * dist + label_noise * noise
+
+
+def _reference_assign_images(rng, parents, relations_per_image):
+    pools = {}
+    for row, parent in enumerate(parents.tolist()):
+        pools.setdefault(parent, []).append(row)
+    for parent in pools:
+        pool = pools[parent]
+        order = rng.permutation(len(pool))
+        pools[parent] = [pool[i] for i in order]
+    packed, image_ids = [], []
+    image_id = 0
+    while pools:
+        parents = sorted(pools)
+        take = min(int(rng.integers(2, 4)), len(parents))
+        sizes = np.array([len(pools[p]) for p in parents], dtype=np.float64)
+        chosen = rng.choice(
+            len(parents), size=take, replace=False, p=sizes / sizes.sum()
+        )
+        active = [parents[i] for i in sorted(chosen)]
+        for _ in range(relations_per_image):
+            active = [p for p in active if pools.get(p)]
+            if not active:
+                if not pools:
+                    break
+                active = [sorted(pools)[int(rng.integers(0, len(pools)))]]
+            parent = active[int(rng.integers(0, len(active)))]
+            packed.append(pools[parent].pop())
+            image_ids.append(image_id)
+            if not pools[parent]:
+                del pools[parent]
+        image_id += 1
+    return packed, image_ids
+
+
+def reference_generate(cfg):
+    """The generator one row at a time: every row's features and label
+    distributions computed as it is drawn. Returns the two splits' (ids, x)."""
+    vocab = _build_vocabulary(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    d, n_obj, n_pred = cfg.feature_dim, cfg.num_object_classes, cfg.num_predicates
+    obj_anchors = rng.standard_normal((n_obj + 1, d))
+    head_anchors = rng.standard_normal((cfg.num_head_predicates + 1, d))
+    offsets = rng.standard_normal((n_pred + 1, d)) * cfg.tail_offset_scale
+    pattern_anchors = np.zeros((n_pred + 1, d))
+    for i in range(1, n_pred + 1):
+        parent = vocab.parent_of[i]
+        pattern_anchors[i] = head_anchors[parent]
+        if i != parent:
+            pattern_anchors[i] += offsets[i]
+    canonical_pairs = {
+        h: (int(rng.integers(1, n_obj + 1)), int(rng.integers(1, n_obj + 1)))
+        for h in range(1, cfg.num_head_predicates + 1)
+    }
+
+    def split(per_predicate):
+        predicates = np.repeat(np.arange(1, n_pred + 1), per_predicate)
+        parents = vocab.parent_of[predicates]
+        ids = np.zeros((len(predicates), 3), dtype=np.int64)
+        x = np.empty((len(predicates), 3 * d + 2 * (n_obj + 1)))
+        for row, predicate in enumerate(predicates.tolist()):
+            if rng.random() < cfg.pair_concentration:
+                subj, obj = canonical_pairs[int(parents[row])]
+            else:
+                subj = int(rng.integers(1, n_obj + 1))
+                obj = int(rng.integers(1, n_obj + 1))
+            ids[row] = subj, obj, predicate
+            x[row] = np.concatenate([
+                obj_anchors[subj] + cfg.noise_scale * rng.standard_normal(d),
+                obj_anchors[obj] + cfg.noise_scale * rng.standard_normal(d),
+                pattern_anchors[predicate] + cfg.noise_scale * rng.standard_normal(d),
+                _reference_label_dist(rng, subj, n_obj, cfg.label_noise),
+                _reference_label_dist(rng, obj, n_obj, cfg.label_noise),
+            ])
+        order, image_ids = _reference_assign_images(rng, parents,
+                                                    cfg.relations_per_image)
+        return np.column_stack([image_ids, ids[order]]), x[order]
+
+    return split(vocab.train_counts[1:]), split(cfg.num_test // n_pred)
+
+
+CRITERION_1 = GeneratorConfig(
+    num_object_classes=6, num_head_predicates=3, tails_per_head=1,
+    feature_dim=8, num_train=240, num_test=48, relations_per_image=4, seed=5,
+)
+
+
+class TestGeneratorMatchesRowByRowReference:
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(GeneratorConfig(), id="default"),
+        pytest.param(CRITERION_1, id="criterion-1-tiny"),
+        pytest.param(replace(SMALL, pair_concentration=0.0), id="pair_concentration=0"),
+        pytest.param(replace(SMALL, pair_concentration=1.0), id="pair_concentration=1"),
+        pytest.param(replace(SMALL, label_noise=0.0), id="label_noise=0"),
+        pytest.param(replace(CRITERION_1, relations_per_image=1), id="relations_per_image=1"),
+        # label distributions wider than numpy's 128-element pairwise-sum block
+        pytest.param(replace(CRITERION_1, num_object_classes=150, feature_dim=5),
+                     id="150-object-classes"),
+    ])
+    def test_splits_are_byte_identical(self, cfg):
+        _, train, test = generate_dataset(cfg)
+        for table, (ids, x) in zip((train, test), reference_generate(cfg)):
+            assert table.ids.tobytes() == ids.tobytes()
+            assert table.x.tobytes() == x.tobytes()
 
 
 class TestHeadSet:
@@ -360,6 +473,21 @@ class TestDatasetFiles:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("field", ["num_object_classes", "feature_dim"])
+    def test_header_that_disagrees_with_the_table_is_rejected_unwritten(
+        self, tmp_path, field
+    ):
+        _, train, _ = generate_dataset(CRITERION_1)
+        dims = dict(num_object_classes=CRITERION_1.num_object_classes,
+                    num_predicates=CRITERION_1.num_predicates,
+                    feature_dim=CRITERION_1.feature_dim)
+        dims[field] += 1
+        path = tmp_path / "train.txt"
+        with pytest.raises(ValueError) as info:
+            save_relations(path, train, **dims)
+        assert str(path) in str(info.value) and field in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_body_is_an_empty_split(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -491,3 +492,40 @@ class TestTrainConfig:
     def test_rejects_nan_and_out_of_range_values(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
             small_config(**{name: value})
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+@pytest.mark.parametrize("flags", [
+    pytest.param({}, id="full"),
+    pytest.param(dict(disable_curriculum=True, disable_context=True,
+                      disable_distillation=True), id="baseline"),
+])
+def test_warm_training_steps_do_not_fault_in_fresh_pages(flags):
+    """A step's temporaries come back from the heap, not from the kernel: a
+    heap returned to the kernel after every step (glibc trims a heap top
+    past its threshold) costs hundreds of minor faults per step."""
+    import resource
+
+    gcfg = GeneratorConfig(seed=1)
+    vocab, train_split, _ = generate_dataset(gcfg)
+    model = DualBranchModel.build(
+        num_object_classes=gcfg.num_object_classes,
+        num_predicates=gcfg.num_predicates, feature_dim=gcfg.feature_dim,
+        hidden_dim=64, context_dim=32,
+        prior_table=build_prior_bias(train_split, vocab).table, seed=1,
+    )
+
+    def steps(iterations):
+        schedule = ScheduleConfig(k1=iterations // 4, k2=iterations // 2,
+                                  total_iterations=iterations, head_threshold=52)
+        train(TrainConfig(schedule=schedule, batch_size=12, hidden_dim=64,
+                          context_dim=32, learning_rate=0.02, beta_en=0.0,
+                          mu=2.0, seed=1, **flags),
+              vocab, train_split, model)
+
+    steps(20)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps(50)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 50 < 100, f"{faults / 50:.0f} minor faults per step"
