@@ -96,10 +96,28 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_eval(args):
-    ks = tuple(int(part) for part in args.ks.split(",") if part)
+def _parse_ks(text):
+    """The K values of ``--ks``: distinct integers of at least 1."""
+    ks = []
+    for part in text.split(","):
+        if not part:
+            continue
+        try:
+            k = int(part)
+        except ValueError:
+            raise ValueError(f"--ks: {part!r} is not an integer") from None
+        if k < 1:
+            raise ValueError(f"--ks: K must be at least 1, got {k}")
+        if k in ks:
+            raise ValueError(f"--ks: K={k} is given twice")
+        ks.append(k)
     if not ks:
         raise ValueError("--ks must name at least one K")
+    return tuple(ks)
+
+
+def _cmd_eval(args):
+    ks = _parse_ks(args.ks)
     model = load_checkpoint(args.checkpoint)
     # eval scores the test split only: train.txt is not read
     vocab = load_vocabulary(os.path.join(args.data, "vocab.txt"))
@@ -190,3 +208,7 @@ def run_command(argv):
 
 def main():
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

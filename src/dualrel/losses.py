@@ -26,16 +26,29 @@ def cross_entropy(logits, label):
 
 
 def cross_entropy_rows(logits, labels):
-    """Cross-entropy of each row: returns (per-row losses, grads like logits)."""
+    """Cross-entropy of each row: returns (per-row losses, grads like logits).
+
+    labels has the logits' leading shape. The gradient is softmax(z) minus
+    the one-hot target, formed as exp(log-softmax) in place with 1
+    subtracted at each row's label.
+    """
     z = as_array(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= z.shape[-1]):
+    num_classes = z.shape[-1]
+    if labels.shape != z.shape[:-1]:
+        raise ValueError(
+            f"labels of shape {labels.shape} do not fit logits of shape {z.shape}"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("label out of range")
-    logp = log_softmax(z, axis=-1)
-    target = labels[..., None] == np.arange(z.shape[-1])
-    losses = -logp[target].reshape(labels.shape)
-    grads = np.exp(logp) - target
-    return losses, grads
+    flat = log_softmax(z, axis=-1).reshape(-1)
+    # each row's label entry in the flat (rows * C) order
+    at_label = np.arange(0, labels.size * num_classes, num_classes)
+    at_label += labels.ravel()
+    losses = -flat[at_label].reshape(labels.shape)
+    np.exp(flat, out=flat)
+    flat[at_label] -= 1.0
+    return losses, flat.reshape(z.shape)
 
 
 def effective_number_weights(train_counts, beta_en):
@@ -82,7 +95,9 @@ def curriculum_cross_entropy_rows(logits, labels, class_weights, lambda_rows):
     """curriculum_cross_entropy of each row; lambda_rows is one weight per row."""
     losses, grads = cross_entropy_rows(logits, labels)
     scale = np.asarray(lambda_rows, dtype=np.float64) * class_weights[np.asarray(labels)]
-    return scale * losses, scale[..., None] * grads
+    losses *= scale
+    grads *= scale[..., None]
+    return losses, grads
 
 
 def head_distillation_loss(teacher_logits, student_logits, tau, head_indices):

@@ -54,19 +54,24 @@ class DualBranchModel:
     @classmethod
     def build(cls, num_object_classes, num_predicates, feature_dim, hidden_dim,
               context_dim, prior_table=None, seed=0):
-        """Deterministically initialized model; prior defaults to all-zero."""
+        """Deterministically initialized model; prior defaults to all-zero.
+
+        The store's arenas are sized once, from ``parameter_specs``."""
         rng = np.random.default_rng(seed)
+        specs = parameter_specs(
+            num_object_classes, num_predicates, feature_dim, hidden_dim, context_dim
+        )
         model = cls(
-            store=ParamStore(),
+            store=ParamStore(
+                (name, shape, init not in FROZEN_INITS) for name, shape, init in specs
+            ),
             num_object_classes=num_object_classes,
             num_predicates=num_predicates,
             feature_dim=feature_dim,
             hidden_dim=hidden_dim,
             context_dim=context_dim,
         )
-        *drawn, (prior_name, expected, _) = parameter_specs(
-            num_object_classes, num_predicates, feature_dim, hidden_dim, context_dim
-        )
+        *drawn, (prior_name, expected, _) = specs
         semantic_context.add_params(model.store, drawn, rng)
         if prior_table is None:
             prior_table = np.zeros(expected)
@@ -218,7 +223,8 @@ def decode_rows(model, branch, contexts, subjects, objects):
     logits = linear_forward(
         contexts, store[f"decoder.{branch}.w"], store[f"decoder.{branch}.b"]
     )
-    return logits + prior_rows(model, subjects, objects)
+    logits += prior_rows(model, subjects, objects)
+    return logits
 
 
 def decode_rows_backward(model, branch, contexts, grad_logits):

@@ -14,6 +14,7 @@ value is still the max over parameters of the per-parameter relative
 error.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -37,18 +38,19 @@ def softmax(z, axis=-1):
     z = as_array(z)
     if z.size == 0:
         raise ValueError("softmax of an empty array")
-    m = np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = z - np.max(z, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(z, axis=-1):
     z = as_array(z)
     if z.size == 0:
         raise ValueError("log_softmax of an empty array")
-    m = np.max(z, axis=axis, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted -= np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted
 
 
 def softmax_vjp(p, grad_p, axis=-1):
@@ -60,7 +62,9 @@ def softmax_vjp(p, grad_p, axis=-1):
 def linear_forward(x, w, b):
     """y = x @ w + b for x of shape (n, fan_in) or (G, n, fan_in), w (fan_in,
     fan_out), b (fan_out,)."""
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def linear_backward(x, w, grad_y):
@@ -90,24 +94,75 @@ class ParamStore:
     """Named float64 parameters with matching gradient accumulators.
 
     Names are unique; gradients always have the shape of their parameter.
-    Frozen parameters (embedding tables, the prior-bias table) keep a
-    gradient buffer for uniformity but are skipped by ``sgd_step``.
-    Single-writer during training: no concurrent mutation.
+    Trainable and frozen parameters live in two flat arenas, and their
+    gradients in two more: ``store[name]`` and ``store.grad(name)`` are
+    reshaped views into them, so ``sgd_step`` is one update of the
+    trainable arena and ``zero_grads`` one fill per gradient arena. Frozen
+    parameters (embedding tables, the prior-bias table) keep a gradient
+    buffer for uniformity but are skipped by ``sgd_step``.
+
+    ``layout``, (name, shape, trainable) triples, sizes the arenas once;
+    ``add`` then copies each value into its slot. Adding a name the layout
+    does not hold appends a slot, which reallocates that kind's arenas: an
+    array taken from the store before such an ``add`` is no longer a view
+    of it. Single-writer during training: no concurrent mutation.
     """
 
-    def __init__(self):
+    def __init__(self, layout=()):
+        # name -> (trainable, offset into its arenas, shape)
+        self._slots = {}
+        sizes = {True: 0, False: 0}
+        for name, shape, trainable in layout:
+            kind, shape = bool(trainable), tuple(shape)
+            self._slots[name] = (kind, sizes[kind], shape)
+            sizes[kind] += math.prod(shape)
+        self._arenas = {kind: np.zeros(size) for kind, size in sizes.items()}
+        self._grad_arenas = {kind: np.zeros(size) for kind, size in sizes.items()}
         self._params = {}
         self._grads = {}
-        self._trainable = {}
+
+    def _bind(self, name):
+        kind, offset, shape = self._slots[name]
+        span = slice(offset, offset + math.prod(shape))
+        self._params[name] = self._arenas[kind][span].reshape(shape)
+        self._grads[name] = self._grad_arenas[kind][span].reshape(shape)
 
     def add(self, name, value, trainable=True):
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         value = as_array(value)
-        self._params[name] = value
-        self._grads[name] = np.zeros_like(value)
-        self._trainable[name] = bool(trainable)
-        return value
+        kind = bool(trainable)
+        if name not in self._slots:
+            self._slots[name] = (kind, self._arenas[kind].size, value.shape)
+            for arenas in (self._arenas, self._grad_arenas):
+                arenas[kind] = np.concatenate([arenas[kind], np.zeros(value.size)])
+            for bound in self._params:
+                if self._slots[bound][0] == kind:
+                    self._bind(bound)
+        else:
+            slot_kind, _, slot_shape = self._slots[name]
+            if (slot_kind, slot_shape) != (kind, value.shape):
+                raise ValueError(
+                    f"parameter {name!r} of shape {value.shape}, trainable={kind} "
+                    f"does not fit its slot of shape {slot_shape}, "
+                    f"trainable={slot_kind}"
+                )
+        self._bind(name)
+        self._params[name][...] = value
+        return self._params[name]
+
+    def __getstate__(self):
+        # the views are rebuilt from the arenas, so a copy shares no memory
+        return {"slots": self._slots, "names": list(self._params),
+                "arenas": self._arenas, "grad_arenas": self._grad_arenas}
+
+    def __setstate__(self, state):
+        self._slots = state["slots"]
+        self._arenas = state["arenas"]
+        self._grad_arenas = state["grad_arenas"]
+        self._params, self._grads = {}, {}
+        for name in state["names"]:
+            self._bind(name)
 
     def __contains__(self, name):
         return name in self._params
@@ -119,17 +174,17 @@ class ParamStore:
         return self._grads[name]
 
     def is_trainable(self, name):
-        return self._trainable[name]
+        return self._slots[name][0]
 
     def names(self):
         return sorted(self._params)
 
     def trainable_names(self):
-        return [n for n in self.names() if self._trainable[n]]
+        return [n for n in self.names() if self._slots[n][0]]
 
     def zero_grads(self):
-        for g in self._grads.values():
-            g.fill(0.0)
+        for arena in self._grad_arenas.values():
+            arena.fill(0.0)
 
     def accumulate(self, name, grad):
         """Add a gradient, or a (G, ...) stack of gradients one at a time.
@@ -152,8 +207,7 @@ class ParamStore:
             )
 
     def sgd_step(self, learning_rate):
-        for name in self.trainable_names():
-            self._params[name] -= learning_rate * self._grads[name]
+        self._arenas[True] -= learning_rate * self._grad_arenas[True]
 
 
 # grad_check: a central difference that misses the analytic value by more

@@ -169,10 +169,10 @@ def batch_forward_backward(model, batch, ctx):
         h, ecache = extractor_forward(model, x)
 
         coarse = decode_rows(model, "coarse", h, subjects, objects)
-        ce_losses, ce_grads = cross_entropy_rows(coarse, labels)
-        for losses in ce_losses:
-            ce_sum += float(np.sum(losses))
-        grad_coarse = (ctx.alpha / ctx.n_relations) * ce_grads
+        ce_losses, grad_coarse = cross_entropy_rows(coarse, labels)
+        for loss in ce_losses.sum(axis=-1).tolist():
+            ce_sum += loss
+        grad_coarse *= ctx.alpha / ctx.n_relations
 
         if ctx.coarse_only:
             grad_h = decode_rows_backward(model, "coarse", h, grad_coarse)
@@ -196,19 +196,19 @@ def batch_forward_backward(model, batch, ctx):
                 frozen_target=frozen,
             )
             output = fine + result.correction
-            for gap in result.gap_loss:
-                sc_sum += float(gap)
+            for gap in result.gap_loss.tolist():
+                sc_sum += gap
 
         if ctx.disable_curriculum:
-            crm_losses, crm_grads = cross_entropy_rows(output, labels)
+            crm_losses, grad_output = cross_entropy_rows(output, labels)
         else:
             lambda_rows = np.where(ctx.head_mask[labels], ctx.lambda_head, 1.0)
-            crm_losses, crm_grads = curriculum_cross_entropy_rows(
+            crm_losses, grad_output = curriculum_cross_entropy_rows(
                 output, labels, ctx.class_weights, lambda_rows
             )
-        for losses in crm_losses:
-            crm_sum += float(np.sum(losses))
-        grad_output = ((1.0 - ctx.alpha) / ctx.n_relations) * crm_grads
+        for loss in crm_losses.sum(axis=-1).tolist():
+            crm_sum += loss
+        grad_output *= (1.0 - ctx.alpha) / ctx.n_relations
 
         if ctx.distillation_on:
             teacher = (
@@ -218,13 +218,14 @@ def batch_forward_backward(model, batch, ctx):
             kd_losses, kd_grads = head_distillation_rows(
                 teacher, output, ctx.tau, ctx.head_indices
             )
-            for losses in kd_losses:
-                kd_sum += float(np.sum(losses))
-            grad_output = grad_output + (ctx.mu / ctx.n_relations) * kd_grads
+            for loss in kd_losses.sum(axis=-1).tolist():
+                kd_sum += loss
+            kd_grads *= ctx.mu / ctx.n_relations
+            grad_output += kd_grads
 
-        grad_fine = grad_output.copy()
+        grad_fine = grad_output
         if result is not None:
-            grad_fine += context_backward(
+            grad_fine = grad_output + context_backward(
                 result, grad_output, 1.0 / ctx.n_images, store
             )
         grad_h = decode_rows_backward(model, "coarse", h, grad_coarse)

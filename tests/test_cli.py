@@ -1,9 +1,13 @@
+import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dualrel
 from dualrel import config
 from dualrel.cli import run_command
 from dualrel.config import generator_config_from, parse_kv_file, train_config_from
@@ -66,6 +70,20 @@ def test_generate_train_eval_report_end_to_end(workspace, capsys):
     assert run_command(["report", "--log", str(run / "train.log"),
                         "--out", str(summary)]) == 0
     assert "schedule trace" in summary.read_text()
+
+
+def test_python_dash_m_runs_the_command(workspace):
+    src = os.path.dirname(os.path.dirname(dualrel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    data = workspace / "data"
+    done = subprocess.run(
+        [sys.executable, "-m", "dualrel.cli", "generate",
+         "--config", str(workspace / "gen.cfg"), "--out", str(data)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert {"vocab.txt", "train.txt", "test.txt"} <= {p.name for p in data.iterdir()}
 
 
 def test_repeated_runs_are_bit_identical(workspace):
@@ -439,6 +457,11 @@ BAD_INPUTS = [
                  id="train-non-utf8"),
     pytest.param("data", _non_utf8("test.txt", 1), ("test.txt", "line 1", "UTF-8"),
                  id="test-header-non-utf8"),
+    pytest.param("ks", "20,20", ("--ks", "20", "twice"), id="ks-repeated"),
+    pytest.param("ks", "abc", ("--ks", "'abc'"), id="ks-abc"),
+    pytest.param("ks", "2.5", ("--ks", "'2.5'"), id="ks-2.5"),
+    pytest.param("ks", "0", ("--ks", "0"), id="ks-0"),
+    pytest.param("ks", "5,-3", ("--ks", "-3"), id="ks-negative"),
     pytest.param("mismatch", _model_with(num_predicates=4), "num_predicates",
                  id="4-predicate-checkpoint"),
     pytest.param("mismatch", _model_with(num_object_classes=8), "num_object_classes",
@@ -465,7 +488,7 @@ def test_bad_input_is_one_error_line_and_no_output(
     generated, tmp_path, capsys, command, change, named
 ):
     out = tmp_path / "out"
-    if command in ("eval", "mismatch"):
+    if command in ("eval", "mismatch", "ks"):
         gcfg = generator_config_from(_config_values(GEN_CFG))
         model = DualBranchModel.build(
             num_object_classes=gcfg.num_object_classes,
@@ -475,12 +498,17 @@ def test_bad_input_is_one_error_line_and_no_output(
             context_dim=64,
         )
         ckpt = inputs = tmp_path / "model.ckpt"
-        change(ckpt, model)
-        named = [named, str(ckpt)]
+        ks = "5"
+        if command == "ks":  # a sound checkpoint; the --ks value is the defect
+            save_checkpoint(ckpt, model)
+            ks, named = change, list(named)
+        else:
+            change(ckpt, model)
+            named = [named, str(ckpt)]
         if command == "mismatch":  # names the dataset too
             named.append(str(generated))
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(generated),
-                "--ks", "5", "--out", str(out)]
+                "--ks", ks, "--out", str(out)]
     elif command == "data":
         data = tmp_path / "data"
         shutil.copytree(generated, data)

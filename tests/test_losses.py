@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrel.losses import (
     cross_entropy,
@@ -13,6 +15,7 @@ from dualrel.losses import (
     total_loss,
 )
 from dualrel.numerics import ConfigurationError, ParamStore, grad_check, softmax
+from test_numerics import logit_arrays, reference_log_softmax
 
 
 def logits_grad_check(loss_of_logits, z0, tol=1e-4):
@@ -61,6 +64,44 @@ class TestCrossEntropy:
             loss_r, grad_r = cross_entropy(z[r], int(labels[r]))
             assert losses[r] == loss_r
             np.testing.assert_array_equal(grads[r], grad_r)
+
+
+def reference_cross_entropy_rows(z, labels):
+    """cross_entropy_rows as it was computed with a (..., C) one-hot mask."""
+    logp = reference_log_softmax(z, axis=-1)
+    target = labels[..., None] == np.arange(z.shape[-1])
+    return -logp[target].reshape(labels.shape), np.exp(logp) - target
+
+
+class TestRowsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(logit_arrays(), st.booleans())
+    def test_cross_entropy_rows(self, drawn, label_at_margin):
+        z, at = drawn
+        labels = at if label_at_margin else (at + 1) % z.shape[-1]
+        losses, grads = cross_entropy_rows(z, labels)
+        ref_losses, ref_grads = reference_cross_entropy_rows(z, labels)
+        np.testing.assert_array_equal(losses, ref_losses)
+        np.testing.assert_array_equal(grads, ref_grads)
+
+    @settings(max_examples=100, deadline=None)
+    @given(logit_arrays(), st.integers(0, 2**32 - 1))
+    def test_curriculum_cross_entropy_rows(self, drawn, seed):
+        z, labels = drawn
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 3.0, size=z.shape[-1])
+        lambdas = rng.uniform(0.0, 1.0, size=labels.shape)
+        losses, grads = curriculum_cross_entropy_rows(z, labels, weights, lambdas)
+        ref_losses, ref_grads = reference_cross_entropy_rows(z, labels)
+        scale = lambdas * weights[labels]
+        np.testing.assert_array_equal(losses, scale * ref_losses)
+        np.testing.assert_array_equal(grads, scale[..., None] * ref_grads)
+
+    def test_labels_must_fit_the_rows(self):
+        with pytest.raises(ValueError, match="labels of shape"):
+            cross_entropy_rows(np.zeros((2, 3, 4)), [0, 1])
+        with pytest.raises(ValueError, match="label out of range"):
+            cross_entropy_rows(np.zeros((2, 4)), [0, 4])
 
 
 class TestEffectiveNumberWeights:

@@ -297,6 +297,52 @@ def small_checkpoint(tmp_path_factory):
     return raw, offsets
 
 
+def reference_parameters(dims, prior_table, seed):
+    """Every parameter as one array each, drawn in ``parameter_specs`` order."""
+    rng = np.random.default_rng(seed)
+    values = {}
+    for name, shape, init in parameter_specs(*dims):
+        if init == "glorot":
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            values[name] = rng.uniform(-bound, bound, size=shape)
+        elif init == "embedding":
+            table = rng.standard_normal(shape)
+            values[name] = table / np.linalg.norm(table, axis=1, keepdims=True)
+        elif init == "prior":
+            values[name] = prior_table
+        else:
+            values[name] = np.zeros(shape)
+    return values
+
+
+class TestParameterArenas:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_build_gives_the_per_array_bytes(self, dataset, seed):
+        vocab, train, _ = dataset
+        prior = build_prior_bias(train, vocab).table
+        dims = (CFG.num_object_classes, CFG.num_predicates, CFG.feature_dim, 12, 16)
+        store = DualBranchModel.build(*dims, prior_table=prior, seed=seed).store
+        expected = reference_parameters(dims, prior, seed)
+        assert store.names() == sorted(expected)
+        for name, value in expected.items():
+            assert store[name].tobytes() == value.tobytes(), name
+
+    def test_loaded_parameters_are_views_the_step_updates(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        store = load_checkpoint(path).store
+        views = {name: store[name] for name in store.names()}
+        for name in store.names():
+            store.accumulate(name, np.ones_like(views[name]))
+        store.sgd_step(0.5)
+        for name, view in views.items():
+            assert store[name] is view
+            shift = 0.5 if store.is_trainable(name) else 0.0
+            np.testing.assert_array_equal(view, model.store[name] - shift, err_msg=name)
+        store.zero_grads()
+        assert not any(store.grad(name).any() for name in store.names())
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, model, tmp_path):
         path = tmp_path / "model.ckpt"

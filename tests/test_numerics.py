@@ -1,7 +1,10 @@
+import copy
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrel.numerics import (
     ParamStore,
@@ -9,8 +12,61 @@ from dualrel.numerics import (
     grad_check,
     linear_backward,
     linear_forward,
+    log_softmax,
     softmax,
 )
+
+# leading shapes of (n, C) matrices and (G, n, C) stacks, n = 1 included
+ROW_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(1, 6), st.integers(1, 20)),
+)
+
+
+@st.composite
+def logit_arrays(draw, min_classes=2):
+    """Logits of a drawn shape, C = 2 included; rows may carry a +-500
+    margin at one entry, so the others underflow exp or dominate it."""
+    shape = draw(ROW_SHAPES) + (draw(st.integers(min_classes, 60)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=shape) * draw(st.sampled_from([0.0, 1.0, 30.0]))
+    margin = draw(st.sampled_from([0.0, 500.0, -500.0]))
+    at = rng.integers(0, shape[-1], size=shape[:-1])
+    np.put_along_axis(z, at[..., None], np.take_along_axis(z, at[..., None], -1) + margin, -1)
+    return z, at
+
+
+# the expressions each row op computed before it wrote into its own buffers
+def reference_softmax(z, axis=-1):
+    m = np.max(z, axis=axis, keepdims=True)
+    e = np.exp(z - m)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def reference_log_softmax(z, axis=-1):
+    m = np.max(z, axis=axis, keepdims=True)
+    shifted = z - m
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+class TestRowOpsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(logit_arrays(min_classes=1))
+    def test_softmax_and_log_softmax(self, drawn):
+        z, _ = drawn
+        before = z.copy()
+        np.testing.assert_array_equal(softmax(z), reference_softmax(z))
+        np.testing.assert_array_equal(log_softmax(z), reference_log_softmax(z))
+        np.testing.assert_array_equal(z, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ROW_SHAPES, st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_linear_forward(self, rows, fan_in, fan_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=rows + (fan_in,))
+        w = rng.normal(size=(fan_in, fan_out))
+        b = rng.normal(size=fan_out) * 100.0
+        np.testing.assert_array_equal(linear_forward(x, w, b), x @ w + b)
 
 
 class TestSoftmax:
@@ -210,6 +266,72 @@ class TestLinearLayer:
 
 
 class TestParamStore:
+    def test_views_stay_live_across_sgd_and_zero_grads(self):
+        store = ParamStore([("w", (2, 3), True), ("e", (4,), False)])
+        store.add("w", np.arange(6.0).reshape(2, 3))
+        store.add("e", np.ones(4), trainable=False)
+        w, grad_w, e, grad_e = store["w"], store.grad("w"), store["e"], store.grad("e")
+        store.accumulate("w", np.full((2, 3), 2.0))
+        store.accumulate("e", np.ones(4))
+        store.sgd_step(0.5)
+        np.testing.assert_array_equal(w, np.arange(6.0).reshape(2, 3) - 1.0)
+        np.testing.assert_array_equal(e, np.ones(4))
+        store.zero_grads()
+        assert not grad_w.any() and not grad_e.any()
+        assert store["w"] is w and store.grad("e") is grad_e
+
+    def test_adds_beyond_the_layout_keep_every_value(self):
+        store = ParamStore([("a", (2,), True)])
+        store.add("a", [1.0, 2.0])
+        store.accumulate("a", [0.5, 0.5])
+        store.add("b", [[3.0]])
+        store.add("c", np.full(3, 4.0), trainable=False)
+        np.testing.assert_array_equal(store["a"], [1.0, 2.0])
+        np.testing.assert_array_equal(store.grad("a"), [0.5, 0.5])
+        store.sgd_step(2.0)
+        np.testing.assert_array_equal(store["a"], [0.0, 1.0])
+        np.testing.assert_array_equal(store["b"], [[3.0]])
+        np.testing.assert_array_equal(store["c"], [4.0, 4.0, 4.0])
+        assert store.names() == ["a", "b", "c"] and store.trainable_names() == ["a", "b"]
+
+    def test_value_that_does_not_fit_its_slot_rejected(self):
+        store = ParamStore([("a", (2,), True)])
+        with pytest.raises(ValueError, match="'a'"):
+            store.add("a", np.zeros(3))
+        with pytest.raises(ValueError, match="'a'"):
+            store.add("a", np.zeros(2), trainable=False)
+
+    def test_deepcopy_is_independent(self):
+        store = ParamStore([("w", (3,), True)])
+        store.add("w", [1.0, 2.0, 3.0])
+        store.add("f", [5.0], trainable=False)
+        twin = copy.deepcopy(store)
+        twin.accumulate("w", np.ones(3))
+        twin.sgd_step(1.0)
+        twin["f"][0] = 7.0
+        np.testing.assert_array_equal(twin["w"], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(store["w"], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(store.grad("w"), np.zeros(3))
+        np.testing.assert_array_equal(store["f"], [5.0])
+        # the copy's views are views of its own arenas
+        twin.zero_grads()
+        twin.accumulate("w", np.ones(3))
+        twin.sgd_step(1.0)
+        np.testing.assert_array_equal(twin["w"], [-1.0, 0.0, 1.0])
+
+    def test_grad_check_perturbations_reach_the_loss(self):
+        store = ParamStore([("frozen", (2,), False), ("w", (2, 2), True)])
+        store.add("frozen", [1.0, 1.0], trainable=False)
+        store.add("w", [[0.5, -1.0], [2.0, 0.25]])
+        weight = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+        def loss(s):
+            s.accumulate("w", 2.0 * weight * s["w"])
+            return float(np.sum(weight * s["w"] ** 2))
+
+        # a perturbation that missed the loss would measure 0 and fail
+        assert grad_check(loss, store) <= 1e-8
+
     def test_duplicate_names_rejected(self):
         store = ParamStore()
         store.add("a", np.zeros(2))

@@ -1,3 +1,4 @@
+import copy
 import sys
 from collections import Counter
 
@@ -258,6 +259,23 @@ class TestTrainLoop:
                 assert b.alpha_used == 1.0
         # alpha plateau after k2
         assert log.entries[-1].breakdown.alpha_used == SCHED.beta1
+
+    def test_training_a_deepcopy_leaves_the_original_unchanged(self, dataset, tmp_path):
+        vocab, train_split, _ = dataset
+        cfg = small_config()
+        model = build_model(dataset, cfg)
+        before, after, trained = (tmp_path / f"{tag}.ckpt" for tag in ("a", "b", "c"))
+        save_checkpoint(before, model)
+        twin = copy.deepcopy(model)
+        train(cfg, vocab, train_split, twin)
+        save_checkpoint(after, model)
+        save_checkpoint(trained, twin)
+        assert after.read_bytes() == before.read_bytes()
+        assert trained.read_bytes() != before.read_bytes()
+        # the original still trains to the bits its twin reached
+        train(cfg, vocab, train_split, model)
+        save_checkpoint(after, model)
+        assert after.read_bytes() == trained.read_bytes()
 
     def test_coarse_only_leaves_fine_side_at_init(self, dataset):
         vocab, train_split, _ = dataset
