@@ -79,6 +79,8 @@ class GeneratorConfig:
             raise ConfigurationError("pair_concentration must lie in [0, 1]")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigurationError("label_noise must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 @dataclass
@@ -638,9 +640,12 @@ def save_dataset(directory, cfg, vocab, train, test):
 
 def load_split(directory, name, vocab):
     """Load the relation file ``name`` of a dataset directory whose
-    vocabulary is ``vocab``; a header whose num_predicates differs from
-    the vocabulary's raises one ValueError naming the directory."""
-    table, _, n_pred, _ = load_relations(os.path.join(directory, name))
+    vocabulary is ``vocab``; a file with no relations, or a header whose
+    num_predicates differs from the vocabulary's, raises one ValueError."""
+    path = os.path.join(directory, name)
+    table, _, n_pred, _ = load_relations(path)
+    if not len(table):
+        raise ValueError(f"{path}: holds no relations")
     if n_pred != vocab.num_predicates:
         raise ValueError(
             f"{directory}: vocab.txt has {vocab.num_predicates} predicates, "

@@ -3,31 +3,32 @@
 Each relation's predicate distribution and its subject/object label
 distributions are mapped to expected embeddings (a probability-weighted
 average of fixed, unit-norm embedding rows), concatenated and projected to
-one triplet vector per relation. A mean global token is appended and a
-single self-attention block (scaled dot-product + residual + feed-forward +
-residual, no positional encoding) contextualizes the rows, so the encoder
-is permutation-equivariant over the relation rows and the global row is
-permutation-invariant. A linear head over the contextual relation rows
-yields additive logit corrections; the correction head is deliberately
-zero-initialized so corrections start at exactly zero and grow only as the
-head is trained.
+one triplet vector per relation. The projection runs in class space: each
+block b of the projection W (subject, predicate, object, EMBED_DIM rows
+each) and its embedding table E_b make a class table T_b = E_b @ W_b, and
+a triplet row is subj @ T_s + pred @ T_p + obj @ T_o, added in that order,
+which equals the concatenated form up to the last bits. A mean global
+token is appended and a single self-attention block (scaled dot-product +
+residual + feed-forward + residual, no positional encoding) contextualizes
+the rows, so the encoder is permutation-equivariant over the relation rows
+and the global row is permutation-invariant. A linear head over the
+contextual relation rows yields additive logit corrections; the correction
+head is deliberately zero-initialized so corrections start at exactly zero
+and grow only as the head is trained.
 
 The squared distance between the predicted and ground-truth contextual
 global tokens is the semantic-gap loss; the ground-truth side runs through
 the same parameters but is treated as a constant (no gradient flows
-through it). Its triplet rows gather the ground-truth classes' embedding
-rows instead of multiplying one-hot rows by the tables, which gives the
-same bits.
+through it). Its triplet rows are T_s[s] + T_p[p] + T_o[o], the
+class-table rows of the ground-truth classes added in the same order, so
+an exact one-hot prediction gives the target's bits.
 
 Every function takes one image, with rows of shape (n, ·), or a stack of G
 images with the same relation count, (G, n, ·). A stack runs each product
 as a stacked ``np.matmul``, so every image gets exactly the bits its own
-call would give, except in the projection backward. That works in class
-space: block b of the projection gets E_b.T @ (sum over the stack's images
-of dist_b.T @ grad_rows), with E_b the block's embedding table, and the
-predicate-distribution gradient is grad_rows @ T_p.T, with T_p = E_pred @
-W[200:400] the projected predicate table. Both differ from the 600-wide
-concatenated form only in the last bits.
+call would give, except in the projection gradient: block b gets
+E_b.T @ (sum over the stack's images of dist_b.T @ grad_rows), one sum
+for the whole stack.
 """
 
 from dataclasses import dataclass
@@ -59,8 +60,9 @@ def context_param_specs(num_predicates, context_dim):
     """(name, shape, init) of the projection, the attention block, the
     feed-forward and the correction head, in the order they are drawn.
 
-    context_dim is the width the concatenated 600-dim triplet semantics are
-    projected to.
+    context_dim is the width the triplet semantics are projected to; the
+    projection's 3 * EMBED_DIM rows are the subject, predicate and object
+    blocks, in that order (see _block_embeddings).
     """
     d = context_dim
     specs = [("context.proj.w", (3 * EMBED_DIM, d), "glorot")]
@@ -138,49 +140,42 @@ def triplet_semantics_rows(pred_dists, subj_dists, obj_dists, store):
     checked here: label distributions are validated when a relation file is
     loaded, and predicate distributions are softmax rows.
     """
-    pred_emb = store["embedding.predicate"]
+    subj_table, pred_table, obj_table = _class_tables(store)
+    rows = subj_dists @ subj_table
+    rows += pred_dists @ pred_table
+    rows += obj_dists @ obj_table
+    return rows, ((subj_dists, pred_dists, obj_dists), pred_table)
+
+
+def _block_embeddings(store):
+    """The embedding table of each EMBED_DIM-row block of context.proj.w, in
+    the blocks' order: subject, predicate, object."""
     obj_emb = store["embedding.object"]
-    blocks = _triplet_blocks(pred_dists.shape[:-1])
-    np.matmul(subj_dists, obj_emb, out=blocks[..., 0, :])
-    np.matmul(pred_dists, pred_emb, out=blocks[..., 1, :])
-    np.matmul(obj_dists, obj_emb, out=blocks[..., 2, :])
-    return _project(blocks, store), (pred_dists, subj_dists, obj_dists)
+    return obj_emb, store["embedding.predicate"], obj_emb
 
 
-def _triplet_blocks(shape):
-    """Uninitialized subject, predicate and object embedding blocks.
-
-    Written in place, the three blocks make the 600-wide concatenation
-    without a temporary per block: at a stack's size such temporaries
-    cost more in fresh memory pages than their products cost in FLOPs.
-    """
-    return np.empty(shape + (3, EMBED_DIM))
-
-
-def _project(blocks, store):
-    """Triplet rows: the concatenated blocks times the projection."""
-    concat = blocks.reshape(blocks.shape[:-2] + (3 * EMBED_DIM,))
-    return concat @ store["context.proj.w"]
+def _class_tables(store):
+    """Projected class tables T_b = E_b @ W_b in block order: row c of T_b
+    is class c's embedding times block b of the projection."""
+    w = store["context.proj.w"]
+    return [
+        table @ w[b * EMBED_DIM : (b + 1) * EMBED_DIM]
+        for b, table in enumerate(_block_embeddings(store))
+    ]
 
 
 def triplet_semantics_rows_backward(cache, grad_rows, store):
     """Accumulate projection gradients; return gradient wrt predicate dists.
 
-    Works in class space (see the module docstring): a stack adds one
-    projection gradient, summed over its images.
+    A stack adds one projection gradient, summed over its images.
     """
-    pred_dists, subj_dists, obj_dists = cache
-    pred_emb = store["embedding.predicate"]
-    obj_emb = store["embedding.object"]
+    dists, pred_table = cache
     grad_flat = grad_rows.reshape(-1, grad_rows.shape[-1])
     block_grads = [
-        table.T @ (dists.reshape(-1, dists.shape[-1]).T @ grad_flat)
-        for dists, table in (
-            (subj_dists, obj_emb), (pred_dists, pred_emb), (obj_dists, obj_emb)
-        )
+        table.T @ (block.reshape(-1, block.shape[-1]).T @ grad_flat)
+        for block, table in zip(dists, _block_embeddings(store))
     ]
     store.accumulate("context.proj.w", np.concatenate(block_grads))
-    pred_table = pred_emb @ store["context.proj.w"][EMBED_DIM : 2 * EMBED_DIM]
     return grad_rows @ pred_table.T
 
 
@@ -301,14 +296,11 @@ def target_global_token(gt_predicates, gt_subjects, gt_objects, store):
 
     The class ids are sequences of n, or (G, n) arrays for a stack.
     """
-    pred_emb = store["embedding.predicate"]
-    obj_emb = store["embedding.object"]
-    subjects = np.asarray(gt_subjects, dtype=np.int64)
-    blocks = _triplet_blocks(subjects.shape)
-    blocks[..., 0, :] = obj_emb[subjects]
-    blocks[..., 1, :] = pred_emb[np.asarray(gt_predicates, dtype=np.int64)]
-    blocks[..., 2, :] = obj_emb[np.asarray(gt_objects, dtype=np.int64)]
-    encoded, _ = encode_context(_with_global_token(_project(blocks, store)), store)
+    subj_table, pred_table, obj_table = _class_tables(store)
+    rows = subj_table[np.asarray(gt_subjects, dtype=np.int64)]
+    rows += pred_table[np.asarray(gt_predicates, dtype=np.int64)]
+    rows += obj_table[np.asarray(gt_objects, dtype=np.int64)]
+    encoded, _ = encode_context(_with_global_token(rows), store)
     return encoded[..., -1, :]
 
 

@@ -100,8 +100,9 @@ class TrainConfig:
         for name in ("batch_size", "hidden_dim", "context_dim", "log_every"):
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"{name} must be positive")
-        if not self.eval_every >= 0:
-            raise ConfigurationError("eval_every must be nonnegative")
+        for name in ("eval_every", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be nonnegative")
 
     @property
     def total_iterations(self):
@@ -382,7 +383,7 @@ def _f(value):
     return repr(float(value))
 
 
-def write_log(path, log, vocab=None):
+def write_log(path, log, vocab):
     with open_atomic(path) as fh:
         fh.write(f"# training-log {LOG_FORMAT_VERSION}\n")
         for entry in log.entries:
@@ -406,13 +407,12 @@ def write_log(path, log, vocab=None):
                 )
                 per_class = report.per_predicate[k]
                 for i in range(1, per_class.shape[0]):
-                    name = vocab.names[i] if vocab else str(i)
-                    count = int(vocab.train_counts[i]) if vocab else 0
                     recall = (
                         "absent" if np.isnan(per_class[i]) else _f(per_class[i])
                     )
                     fh.write(
-                        f"evalpred {iteration} {k} {i} {name} {count} {recall}\n"
+                        f"evalpred {iteration} {k} {i} {vocab.names[i]} "
+                        f"{int(vocab.train_counts[i])} {recall}\n"
                     )
 
 

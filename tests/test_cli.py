@@ -382,6 +382,16 @@ def _non_utf8(name, line):
     return change
 
 
+def _header_only(name):
+    """A dataset defect: one file keeps its header line and no relation."""
+
+    def change(data):
+        path = data / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+
+    return change
+
+
 def _set(column, value):
     def edit(tokens):
         tokens[column] = value(tokens[column]) if callable(value) else value
@@ -429,6 +439,8 @@ BAD_INPUTS = [
                  id="learning_rate=nan"),
     pytest.param("generate", {"tail_offset_scale": "nan"}, "tail_offset_scale",
                  id="tail_offset_scale=nan"),
+    pytest.param("generate", {"seed": "-1"}, "seed", id="generate-seed=-1"),
+    pytest.param("train", {"seed": "-4"}, "seed", id="train-seed=-4"),
     # "\udcff" is written as the byte 0xff
     pytest.param("generate", {"seed": "9\udcff"}, ("bad.cfg", "line 8", "UTF-8"),
                  id="config-non-utf8"),
@@ -450,6 +462,10 @@ BAD_INPUTS = [
                  ("vocab.txt", "line 3", "4 fields"), id="vocab-line-of-3-fields"),
     pytest.param("data", _edit_line("vocab.txt", 5, _set(3, "77")),
                  ("vocab.txt", "line 5", "parent"), id="vocab-parent-77"),
+    pytest.param("data", _header_only("train.txt"), ("train.txt", "no relations"),
+                 id="train-header-only"),
+    pytest.param("data", _header_only("test.txt"), ("test.txt", "no relations"),
+                 id="test-header-only"),
     pytest.param("data", _non_utf8("vocab.txt", 4), ("vocab.txt", "line 4", "UTF-8"),
                  id="vocab-non-utf8"),
     # line 200 is past the header's read buffer: np.loadtxt meets the byte

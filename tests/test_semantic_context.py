@@ -98,14 +98,17 @@ class TestTripletSemantics:
         obj = np.zeros(N_OBJ + 1)
         obj[2] = 1.0
         out = triplet_semantics(p, subj, obj, store)
-        expected = np.concatenate(
-            [
-                store["embedding.object"][1],
-                store["embedding.predicate"][3],
-                store["embedding.object"][2],
-            ]
-        ) @ store["context.proj.w"]
-        np.testing.assert_array_equal(out, expected)
+        obj_emb, pred_emb = store["embedding.object"], store["embedding.predicate"]
+        w = store["context.proj.w"]
+        subj_table = obj_emb @ w[:EMBED_DIM]
+        pred_table = pred_emb @ w[EMBED_DIM : 2 * EMBED_DIM]
+        obj_table = obj_emb @ w[2 * EMBED_DIM :]
+        # class-table rows, added subject, then predicate, then object
+        np.testing.assert_array_equal(
+            out, subj_table[1] + pred_table[3] + obj_table[2]
+        )
+        concat = np.concatenate([obj_emb[1], pred_emb[3], obj_emb[2]])
+        assert max_relative_error(out, concat @ w) <= 1e-12
 
     def test_uniform_gives_row_mean(self):
         store = make_store()
@@ -249,24 +252,21 @@ class TestContextForward:
         result = context_forward(fine, subj, obj, store, ground_truth=gt)
         np.testing.assert_array_equal(result.correction, 0.0)
 
-    def test_exact_one_hot_prediction_closes_the_gap(self):
+    @pytest.mark.parametrize("shape", [(3,), (3, 4)], ids=["image", "stack"])
+    def test_exact_one_hot_prediction_closes_the_gap(self, shape):
         store = make_store(18, randomize_classifier=True)
         rng = np.random.default_rng(19)
-        n = 3
-        gt_preds = rng.integers(1, N_PRED + 1, size=n)
-        gt_subj = rng.integers(1, N_OBJ + 1, size=n)
-        gt_obj = rng.integers(1, N_OBJ + 1, size=n)
+        gt_preds = rng.integers(1, N_PRED + 1, size=shape)
+        gt_subj = rng.integers(1, N_OBJ + 1, size=shape)
+        gt_obj = rng.integers(1, N_OBJ + 1, size=shape)
         # +1000 margins underflow the other classes to exactly zero
-        fine = np.full((n, N_PRED + 1), -500.0)
-        fine[np.arange(n), gt_preds] = 500.0
-        subj = np.zeros((n, N_OBJ + 1))
-        subj[np.arange(n), gt_subj] = 1.0
-        obj = np.zeros((n, N_OBJ + 1))
-        obj[np.arange(n), gt_obj] = 1.0
+        fine = one_hot(gt_preds, N_PRED + 1) * 1000.0 - 500.0
+        subj = one_hot(gt_subj, N_OBJ + 1)
+        obj = one_hot(gt_obj, N_OBJ + 1)
         result = context_forward(
             fine, subj, obj, store, ground_truth=(gt_preds, gt_subj, gt_obj)
         )
-        assert result.gap_loss == 0.0
+        np.testing.assert_array_equal(result.gap_loss, 0.0)
 
     def test_permutation_moves_rows_and_preserves_gap(self):
         store = make_store(20, randomize_classifier=True)
