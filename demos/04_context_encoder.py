@@ -11,9 +11,10 @@ import numpy as np
 
 from dualrel.numerics import ParamStore
 from dualrel.semantic_context import (
-    add_context_params,
-    add_embeddings,
+    add_params,
     context_forward,
+    context_param_specs,
+    embedding_specs,
     global_token,
     triplet_semantics_rows,
 )
@@ -21,8 +22,7 @@ from dualrel.semantic_context import (
 N_PRED, N_OBJ, DIM = 8, 6, 32
 rng = np.random.default_rng(7)
 store = ParamStore()
-add_context_params(store, N_PRED, context_dim=DIM, rng=rng)
-add_embeddings(store, N_PRED, N_OBJ, rng)
+add_params(store, context_param_specs(N_PRED, DIM) + embedding_specs(N_PRED, N_OBJ), rng)
 # the correction head starts at zero; give it random weights so the
 # corrections are visible in this demo
 store["context.classifier.w"][:] = rng.normal(size=(DIM, N_PRED + 1)) * 0.3

@@ -23,17 +23,15 @@ from .datagen import (
 )
 from .losses import (
     LossBreakdown,
-    cross_entropy,
-    curriculum_cross_entropy,
+    cross_entropy_rows,
+    curriculum_cross_entropy_rows,
     effective_number_weights,
-    head_distillation_loss,
+    head_distillation_rows,
     hybrid_loss,
     total_loss,
 )
 from .metrics import (
     EvalReport,
-    GroundTruth,
-    RankedPrediction,
     TripleTable,
     compute_report,
     format_report,
@@ -44,9 +42,10 @@ from .metrics import (
 )
 from .model import (
     DualBranchModel,
-    decode,
-    extract_features,
+    decode_rows,
+    extractor_forward,
     fine_branch_forward,
+    instance_matrix,
     load_checkpoint,
     parse_checkpoint,
     save_checkpoint,
@@ -63,7 +62,7 @@ from .semantic_context import (
     encode_context,
     global_token,
     semantic_gap_loss,
-    triplet_semantics,
+    triplet_semantics_rows,
 )
 from .training import (
     TrainConfig,

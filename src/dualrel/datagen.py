@@ -63,6 +63,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.num_head_predicates < 1:
             raise ConfigurationError("need at least one head predicate")
+        # before the num_train check: num_predicates is not positive here
+        if self.tails_per_head < 0:
+            raise ConfigurationError("tails_per_head must be nonnegative")
         if self.feature_dim < 4:
             raise ConfigurationError("feature_dim must be at least 4")
         if self.num_train < self.num_predicates:
@@ -123,11 +126,6 @@ class RelationInstance:
     union_feature: np.ndarray
     subject_label_dist: np.ndarray
     object_label_dist: np.ndarray
-
-    @property
-    def x(self):
-        """The extractor input row: the FEATURE_FIELDS concatenated."""
-        return np.concatenate([getattr(self, name) for name in FEATURE_FIELDS])
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,10 @@
 Each loss is one ``*_rows`` op with a hand-derived gradient over an (n, C)
 logit matrix or a (G, n, C) stack of them, returning (per-row losses,
 gradients like the logits); a stack gives each image's rows the bits of its
-own matrix. The per-instance forms are one-row wrappers over them. The
-distillation loss is restricted to head predicates: both distributions are
-renormalized softmaxes over the head indices only, which keeps the Gibbs
-bound (loss >= teacher entropy) exact and testable.
+own matrix, and one relation is a (1, C) row. The distillation loss is
+restricted to head predicates: both distributions are renormalized
+softmaxes over the head indices only, which keeps the Gibbs bound
+(loss >= teacher entropy) exact and testable.
 """
 
 from dataclasses import dataclass
@@ -16,17 +16,9 @@ import numpy as np
 from .numerics import ConfigurationError, as_array, log_softmax, softmax
 
 
-def cross_entropy(logits, label):
-    """Softmax cross-entropy: returns (loss, grad wrt logits)."""
-    z = as_array(logits)
-    if z.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-d logit vector")
-    losses, grads = cross_entropy_rows(z[None, :], [label])
-    return losses[0], grads[0]
-
-
 def cross_entropy_rows(logits, labels):
-    """Cross-entropy of each row: returns (per-row losses, grads like logits).
+    """Softmax cross-entropy of each row: returns (per-row losses, grads like
+    logits).
 
     labels has the logits' leading shape. The gradient is softmax(z) minus
     the one-hot target, formed as exp(log-softmax) in place with 1
@@ -78,21 +70,13 @@ def effective_number_weights(train_counts, beta_en):
     return weights
 
 
-def curriculum_cross_entropy(logits, label, class_weights, lambda_y):
-    """Re-weighted cross-entropy: lambda_y * w_label * CE(logits, label).
+def curriculum_cross_entropy_rows(logits, labels, class_weights, lambda_rows):
+    """Re-weighted cross-entropy of each row: lambda_y * w_label * CE, with
+    lambda_rows one lambda_y per row.
 
     For a one-hot target the re-weighted sum collapses to the ground-truth
     term, so the gradient is the CE gradient scaled by the same factor.
     """
-    if not 0.0 <= lambda_y <= 1.0:
-        raise ValueError("lambda_y must lie in [0, 1]")
-    losses, grads = curriculum_cross_entropy_rows(
-        [logits], [label], class_weights, [lambda_y])
-    return losses[0], grads[0]
-
-
-def curriculum_cross_entropy_rows(logits, labels, class_weights, lambda_rows):
-    """curriculum_cross_entropy of each row; lambda_rows is one weight per row."""
     losses, grads = cross_entropy_rows(logits, labels)
     scale = np.asarray(lambda_rows, dtype=np.float64) * class_weights[np.asarray(labels)]
     losses *= scale
@@ -100,21 +84,15 @@ def curriculum_cross_entropy_rows(logits, labels, class_weights, lambda_rows):
     return losses, grads
 
 
-def head_distillation_loss(teacher_logits, student_logits, tau, head_indices):
-    """Distillation restricted to head predicates.
+def head_distillation_rows(teacher_logits, student_logits, tau, head_indices):
+    """Distillation restricted to head predicates, for each row: returns
+    (per-row losses, grads like the student logits).
 
     Teacher and student logits are sliced to the head indices, softened by
     temperature tau and renormalized; the loss is the cross-entropy
     -sum p_i log q_i over the heads. The teacher is a constant: gradients
     flow only to the student's head-logit entries.
     """
-    losses, grads = head_distillation_rows(
-        [teacher_logits], [student_logits], tau, head_indices)
-    return losses[0], grads[0]
-
-
-def head_distillation_rows(teacher_logits, student_logits, tau, head_indices):
-    """head_distillation_loss of each row: (per-row losses, grads like logits)."""
     head_indices = np.asarray(head_indices, dtype=np.int64)
     if head_indices.shape[0] < 2:
         raise ConfigurationError(

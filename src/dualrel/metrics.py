@@ -6,6 +6,11 @@ against the image's ground-truth triples, each prediction consuming at most
 one ground truth. Recall@K is micro-averaged over the whole test set (total
 hits / total ground truths); mean recall averages the per-predicate
 recalls; Mean@K is the arithmetic mean of the two.
+
+Predictions and ground truths are ``TripleTable`` columns, never one object
+per row. ``compute_report`` counts every K from one ranking; the library
+calls only it. ``recall_at_k`` and ``mean_recall_at_k`` rank once per call
+and remain because the benchmark in ``bench/`` traces them by name.
 """
 
 from dataclasses import dataclass
@@ -14,23 +19,6 @@ import numpy as np
 
 DEFAULT_KS = (20, 50, 100)
 TRIPLE_FIELDS = ("image_id", "subject_class", "object_class", "predicate")
-
-
-@dataclass(frozen=True)
-class RankedPrediction:
-    image_id: int
-    subject_class: int
-    object_class: int
-    predicate: int
-    score: float
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    image_id: int
-    subject_class: int
-    object_class: int
-    predicate: int
 
 
 @dataclass(frozen=True)
@@ -55,18 +43,6 @@ class TripleTable:
         """Table of (image, subject, object, predicate) rows."""
         ids = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         return cls(*ids.T, score)
-
-
-def _table(items, scored):
-    """A list of RankedPrediction (scored) or GroundTruth as a TripleTable;
-    a table passes through unchanged."""
-    if isinstance(items, TripleTable):
-        return items
-    rows = [tuple(getattr(item, name) for name in TRIPLE_FIELDS) for item in items]
-    score = None
-    if scored:
-        score = np.asarray([item.score for item in items], dtype=np.float64)
-    return TripleTable.from_rows(rows, score)
 
 
 def _hits(preds, gts, ks, num_classes):
@@ -134,9 +110,8 @@ def _mean_recall(hits, totals):
 def recall_at_k(preds, gts, k):
     """Micro recall: matched ground truths over all ground truths."""
     _check_ks((k,), gts, "recall")
-    gts = _table(gts, scored=False)
     num_classes = int(gts.predicate.max())
-    hits = _hits(_table(preds, scored=True), gts, (k,), num_classes)
+    hits = _hits(preds, gts, (k,), num_classes)
     return _recall(hits[0], len(gts))
 
 
@@ -147,8 +122,7 @@ def mean_recall_at_k(preds, gts, k, num_predicates):
     classes without ground truths hold NaN and are excluded from the mean.
     """
     _check_ks((k,), gts, "mean recall")
-    gts = _table(gts, scored=False)
-    hits = _hits(_table(preds, scored=True), gts, (k,), num_predicates)
+    hits = _hits(preds, gts, (k,), num_predicates)
     totals = np.bincount(gts.predicate, minlength=num_predicates + 1)
     return _mean_recall(hits[0], totals)
 
@@ -193,13 +167,12 @@ class EvalReport:
 def compute_report(preds, gts, num_predicates, groups, ks=DEFAULT_KS):
     """R@K, mR@K, Mean@K, per-predicate and group recalls for every K.
 
-    preds and gts are lists of RankedPrediction and GroundTruth or
-    TripleTables; every K comes from one ranking.
+    preds is a scored TripleTable and gts an unscored one; every K comes
+    from one ranking.
     """
     _check_ks(ks, gts, "recall")
-    gts = _table(gts, scored=False)
     totals = np.bincount(gts.predicate, minlength=num_predicates + 1)
-    hits = _hits(_table(preds, scored=True), gts, ks, num_predicates)
+    hits = _hits(preds, gts, ks, num_predicates)
     report = EvalReport(tuple(ks), {}, {}, {}, {}, {})
     for k, hits_k in zip(ks, hits):
         r = _recall(hits_k, len(gts))

@@ -9,7 +9,9 @@ frozen subject-object prior-bias slice to their logits. The extractor is a
 single set of parameters, so sharing between branches is by construction.
 
 The layers take one image's (n, ·) rows or a (G, n, ·) stack of equal-size
-images; the per-relation and per-image forms are wrappers over them.
+images; one relation is a one-row table. Two one-image forms remain,
+``instance_matrix`` and ``fine_branch_forward``, because the benchmark in
+``bench/`` resolves and calls them by name.
 """
 
 import math
@@ -121,7 +123,8 @@ def _check_dims(model, feature_dim, num_object_classes):
 
 
 def instance_matrix(model, table):
-    """A relation table's extractor input rows, its dims checked."""
+    """A relation table's extractor input rows, its dims checked (the
+    library gathers with ``run_inputs``; the benchmark calls this)."""
     _check_dims(model, table.feature_dim, table.num_object_classes)
     return table.x
 
@@ -178,14 +181,6 @@ def extractor_backward(model, cache, grad_h):
     store.accumulate("extractor.l1.b", grad_pre.sum(axis=-2))
 
 
-def extract_features(model, instance):
-    """Context vector for one relation; identical for both branches."""
-    _check_dims(model, instance.subject_feature.shape[0],
-                instance.subject_label_dist.shape[0] - 1)
-    h, _ = extractor_forward(model, instance.x[None, :])
-    return h[0]
-
-
 def _check_classes(model, subjects, objects):
     classes = np.asarray([subjects, objects])
     if classes.size and not (
@@ -203,22 +198,9 @@ def prior_rows(model, subjects, objects):
     return model.store["prior.table"][np.asarray(subjects), np.asarray(objects)]
 
 
-def decode(model, branch, context, subject_class, object_class):
-    """Branch logits: linear map of the context plus the pair's prior slice."""
-    if branch not in BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}")
-    context = np.asarray(context, dtype=np.float64)
-    if context.shape != (model.hidden_dim,):
-        raise ValueError(
-            f"context width {context.shape} does not match hidden_dim "
-            f"{model.hidden_dim}"
-        )
-    return decode_rows(model, branch, context[None, :], [subject_class],
-                       [object_class])[0]
-
-
 def decode_rows(model, branch, contexts, subjects, objects):
-    """Branch logits for (n, hidden) context rows or a (G, n, hidden) stack."""
+    """Branch logits, a linear map of the context plus each pair's prior
+    slice, for (n, hidden) context rows or a (G, n, hidden) stack."""
     store = model.store
     logits = linear_forward(
         contexts, store[f"decoder.{branch}.w"], store[f"decoder.{branch}.b"]
@@ -270,7 +252,8 @@ def fine_branch_rows(model, x, subjects, objects, predicates=None):
 
 def fine_branch_forward(model, image, with_gap=True):
     """``fine_branch_rows`` for one image's relation table; the gap loss is
-    skipped unless with_gap is true."""
+    skipped unless with_gap is true. The library evaluates with
+    ``fine_branch_rows``; the benchmark traces this name."""
     if not len(image):
         raise ValueError("need at least one relation in the image")
     x, subjects, objects, predicates = (a[0] for a in run_inputs(model, [image]))

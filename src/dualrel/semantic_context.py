@@ -100,43 +100,15 @@ def add_params(store, specs, rng):
             store.add(name, table, trainable=False)
 
 
-def add_embeddings(store, num_predicates, num_object_classes, rng):
-    """Fixed unit-norm embedding rows for predicates and object labels."""
-    add_params(store, embedding_specs(num_predicates, num_object_classes), rng)
-
-
-def add_context_params(store, num_predicates, context_dim, rng):
-    """Projection, one attention block, feed-forward, and the correction head
-    (see context_param_specs); rng draws the initial weights."""
-    add_params(store, context_param_specs(num_predicates, context_dim), rng)
-
-
-def _check_distribution_rows(name, rows):
-    sums = np.sum(rows, axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError(f"{name} rows must sum to 1 (max deviation "
-                         f"{np.max(np.abs(sums - 1.0)):.3g})")
-
-
-def triplet_semantics(pred_dist, subj_dist, obj_dist, store):
-    """Project one relation's expected embeddings to a triplet vector.
+def triplet_semantics_rows(pred_dists, subj_dists, obj_dists, store):
+    """Project each relation's expected embeddings to a triplet vector:
+    returns (rows, cache for backward).
 
     The expected embedding of a distribution is its probability-weighted
-    average of embedding rows; subject, predicate, and object expectations
-    are concatenated in that order and multiplied by the projection. Each
-    distribution must sum to 1.
-    """
-    dists = [np.asarray(d)[None, :] for d in (pred_dist, subj_dist, obj_dist)]
-    for name, rows in zip(("predicate", "subject label", "object label"), dists):
-        _check_distribution_rows(f"{name} distribution", rows)
-    out, _ = triplet_semantics_rows(*dists, store)
-    return out[0]
-
-
-def triplet_semantics_rows(pred_dists, subj_dists, obj_dists, store):
-    """Batched triplet_semantics: returns (rows, cache for backward).
-
-    The distributions are (n, ·) matrices or (G, n, ·) stacks. They are not
+    average of embedding rows; the subject, predicate and object
+    expectations, concatenated in that order, are multiplied by the
+    projection (in class space, see the module docstring). The
+    distributions are (n, ·) matrices or (G, n, ·) stacks. They are not
     checked here: label distributions are validated when a relation file is
     loaded, and predicate distributions are softmax rows.
     """

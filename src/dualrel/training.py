@@ -24,6 +24,7 @@ way: each run of equal-size test images makes one fine-branch forward
 """
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -103,6 +104,16 @@ class TrainConfig:
         for name in ("eval_every", "seed"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
+        ks = self.eval_ks
+        if not (
+            isinstance(ks, (tuple, list)) and ks
+            and all(isinstance(k, Integral) and not isinstance(k, bool) and k >= 1
+                    for k in ks)
+            and len(set(ks)) == len(ks)
+        ):
+            raise ConfigurationError(
+                f"eval_ks must be distinct integers of at least 1, got {ks!r}"
+            )
 
     @property
     def total_iterations(self):

@@ -20,12 +20,12 @@ from dualrel.datagen import (
     relations_by_image,
 )
 from dualrel.losses import (
-    cross_entropy,
-    curriculum_cross_entropy,
+    cross_entropy_rows,
+    curriculum_cross_entropy_rows,
     effective_number_weights,
-    head_distillation_loss,
+    head_distillation_rows,
 )
-from dualrel.metrics import GroundTruth, RankedPrediction, mean_at_k, mean_recall_at_k, recall_at_k
+from dualrel.metrics import TripleTable, mean_at_k, mean_recall_at_k, recall_at_k
 from dualrel.model import (
     DualBranchModel,
     decode_rows,
@@ -43,10 +43,11 @@ from dualrel.schedules import (
     schedule_value,
 )
 from dualrel.semantic_context import (
-    add_context_params,
-    add_embeddings,
+    add_params,
     context_backward,
     context_forward,
+    context_param_specs,
+    embedding_specs,
     semantic_gap_loss,
     target_global_token,
 )
@@ -105,14 +106,15 @@ def random_distributions(rng, n, width):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def logits_check(rng, loss_of_logits, dim):
+def logits_check(rng, rows_op, dim):
+    """grad_check of a loss rows op on one (1, dim) logit row."""
     store = ParamStore()
-    store.add("z", rng.normal(size=dim) * 2.0)
+    store.add("z", rng.normal(size=(1, dim)) * 2.0)
 
     def fn(s):
-        loss, grad = loss_of_logits(s["z"])
-        s.accumulate("z", grad)
-        return loss
+        losses, grads = rows_op(s["z"])
+        s.accumulate("z", grads)
+        return losses[0]
 
     return grad_check(fn, store)
 
@@ -122,8 +124,8 @@ def context_path_check(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     store = ParamStore()
-    add_context_params(store, n_pred, context_dim=dim, rng=rng)
-    add_embeddings(store, n_pred, n_obj, rng)
+    add_params(store, context_param_specs(n_pred, dim) + embedding_specs(n_pred, n_obj),
+               rng)
     w = store["context.classifier.w"]
     w += rng.normal(size=w.shape) * 0.3
     subj = random_distributions(rng, n, n_obj + 1)
@@ -207,7 +209,7 @@ def test_criterion_1_gradient_suite():
     for _ in range(5):
         dim = int(rng.integers(4, 17))
         label = int(rng.integers(0, dim))
-        errors.append(logits_check(rng, lambda z: cross_entropy(z, label), dim))
+        errors.append(logits_check(rng, lambda z: cross_entropy_rows(z, [label]), dim))
     for _ in range(4):
         dim = int(rng.integers(4, 17))
         label = int(rng.integers(0, dim))
@@ -216,16 +218,16 @@ def test_criterion_1_gradient_suite():
         errors.append(
             logits_check(
                 rng,
-                lambda z: curriculum_cross_entropy(z, label, weights, lam),
+                lambda z: curriculum_cross_entropy_rows(z, [label], weights, [lam]),
                 dim,
             )
         )
     for _ in range(4):
-        teacher = rng.normal(size=8) * 2
+        teacher = rng.normal(size=(1, 8)) * 2
         errors.append(
             logits_check(
                 rng,
-                lambda z: head_distillation_loss(teacher, z, 2.0, heads),
+                lambda z: head_distillation_rows(teacher, z, 2.0, heads),
                 8,
             )
         )
@@ -301,8 +303,8 @@ def test_criterion_3_permutation_invariance():
     n_pred, n_obj, dim = 8, 6, 24
     rng = np.random.default_rng(77)
     store = ParamStore()
-    add_context_params(store, n_pred, context_dim=dim, rng=rng)
-    add_embeddings(store, n_pred, n_obj, rng)
+    add_params(store, context_param_specs(n_pred, dim) + embedding_specs(n_pred, n_obj),
+               rng)
     w = store["context.classifier.w"]
     w += rng.normal(size=w.shape) * 0.3
     worst_gap = worst_global = worst_rows = 0.0
@@ -346,24 +348,28 @@ def test_criterion_3_permutation_invariance():
 # ---------------------------------------------------------------------------
 
 
+def prediction_table(preds):
+    """TripleTable of (image, subject, object, predicate, score) tuples."""
+    return TripleTable.from_rows([p[:4] for p in preds],
+                                 np.asarray([p[4] for p in preds], dtype=np.float64))
+
+
 def brute_force_matcher(preds, gts, k):
-    images = sorted({g.image_id for g in gts} | {p.image_id for p in preds})
+    """Matched ground truths per predicate; preds are (image, subject,
+    object, predicate, score) tuples and gts (image, subject, object,
+    predicate) tuples."""
+    images = sorted({g[0] for g in gts} | {p[0] for p in preds})
     hits_by_class = {}
     for image_id in images:
         ranked = sorted(
-            [p for p in preds if p.image_id == image_id],
-            key=lambda p: (-p.score, p.predicate, p.subject_class,
-                           p.object_class),
+            [p for p in preds if p[0] == image_id],
+            key=lambda p: (-p[4], p[3], p[1], p[2]),
         )[:k]
-        remaining = [g for g in gts if g.image_id == image_id]
+        remaining = [g[1:] for g in gts if g[0] == image_id]
         for p in ranked:
-            for g in remaining:
-                if (g.subject_class, g.object_class, g.predicate) == (
-                    p.subject_class, p.object_class, p.predicate,
-                ):
-                    remaining.remove(g)
-                    hits_by_class[g.predicate] = hits_by_class.get(g.predicate, 0) + 1
-                    break
+            if p[1:4] in remaining:
+                remaining.remove(p[1:4])
+                hits_by_class[p[3]] = hits_by_class.get(p[3], 0) + 1
     return hits_by_class
 
 
@@ -376,26 +382,23 @@ def test_criterion_4_metric_oracle():
         gts, preds = [], []
         for image_id in range(n_images):
             for _ in range(int(rng.integers(1, 4))):
-                gts.append(
-                    GroundTruth(image_id, int(rng.integers(1, 4)),
-                                int(rng.integers(1, 4)),
-                                int(rng.integers(1, n_classes + 1)))
-                )
+                gts.append((image_id, int(rng.integers(1, 4)),
+                            int(rng.integers(1, 4)),
+                            int(rng.integers(1, n_classes + 1))))
             for _ in range(int(rng.integers(0, 11))):
-                preds.append(
-                    RankedPrediction(image_id, int(rng.integers(1, 4)),
-                                     int(rng.integers(1, 4)),
-                                     int(rng.integers(1, n_classes + 1)),
-                                     float(rng.choice([0.2, 0.4, 0.6, 0.8])))
-                )
+                preds.append((image_id, int(rng.integers(1, 4)),
+                              int(rng.integers(1, 4)),
+                              int(rng.integers(1, n_classes + 1)),
+                              float(rng.choice([0.2, 0.4, 0.6, 0.8]))))
+        pred_table, gt_table = prediction_table(preds), TripleTable.from_rows(gts)
         for k in (1, 3, 6, 10):
             by_class = brute_force_matcher(preds, gts, k)
             hits = sum(by_class.values())
-            agree &= recall_at_k(preds, gts, k) == hits / len(gts)
-            mr, per_class = mean_recall_at_k(preds, gts, k, n_classes)
+            agree &= recall_at_k(pred_table, gt_table, k) == hits / len(gts)
+            mr, per_class = mean_recall_at_k(pred_table, gt_table, k, n_classes)
             gt_counts = {}
-            for g in gts:
-                gt_counts[g.predicate] = gt_counts.get(g.predicate, 0) + 1
+            for *_, predicate in gts:
+                gt_counts[predicate] = gt_counts.get(predicate, 0) + 1
             expected = [
                 by_class.get(c, 0) / gt_counts[c]
                 for c in sorted(gt_counts)

@@ -440,6 +440,8 @@ BAD_INPUTS = [
     pytest.param("generate", {"tail_offset_scale": "nan"}, "tail_offset_scale",
                  id="tail_offset_scale=nan"),
     pytest.param("generate", {"seed": "-1"}, "seed", id="generate-seed=-1"),
+    pytest.param("generate", {"tails_per_head": "-1"}, "tails_per_head",
+                 id="tails_per_head=-1"),
     pytest.param("train", {"seed": "-4"}, "seed", id="train-seed=-4"),
     # "\udcff" is written as the byte 0xff
     pytest.param("generate", {"seed": "9\udcff"}, ("bad.cfg", "line 8", "UTF-8"),

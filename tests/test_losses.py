@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrel.losses import (
-    cross_entropy,
     cross_entropy_rows,
-    curriculum_cross_entropy,
     curriculum_cross_entropy_rows,
     effective_number_weights,
-    head_distillation_loss,
     head_distillation_rows,
     hybrid_loss,
     total_loss,
@@ -18,42 +15,43 @@ from dualrel.numerics import ConfigurationError, ParamStore, grad_check, softmax
 from test_numerics import logit_arrays, reference_log_softmax
 
 
-def logits_grad_check(loss_of_logits, z0, tol=1e-4):
-    """Finite-difference check of a (loss, grad) pair over a logit vector."""
+def logits_grad_check(rows_op, z0, tol=1e-4):
+    """Finite-difference check of a rows op's (losses, grads) on one (1, C)
+    logit row."""
     store = ParamStore()
     store.add("z", np.array(z0, dtype=np.float64))
 
     def fn(s):
-        loss, grad = loss_of_logits(s["z"])
-        s.accumulate("z", grad)
-        return loss
+        losses, grads = rows_op(s["z"])
+        s.accumulate("z", grads)
+        return losses[0]
 
     assert grad_check(fn, store) <= tol
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = cross_entropy([0.0, 0.0], 0)
-        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+        losses, _ = cross_entropy_rows([[0.0, 0.0]], [0])
+        assert losses[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_confident_correct(self):
-        loss, _ = cross_entropy([100.0, 0.0], 0)
-        assert loss <= 1e-10
+        losses, _ = cross_entropy_rows([[100.0, 0.0]], [0])
+        assert losses[0] <= 1e-10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        logits_grad_check(lambda z: cross_entropy(z, 3), rng.normal(size=7))
+        logits_grad_check(lambda z: cross_entropy_rows(z, [3]), rng.normal(size=(1, 7)))
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             z = rng.normal(size=rng.integers(2, 10)) * 5
-            _, grad = cross_entropy(z, int(rng.integers(0, z.shape[0])))
-            assert abs(grad.sum()) <= 1e-10
+            _, grads = cross_entropy_rows(z[None, :], [int(rng.integers(0, z.shape[0]))])
+            assert abs(grads.sum()) <= 1e-10
 
     def test_invalid_label(self):
         with pytest.raises(ValueError):
-            cross_entropy([0.0, 0.0], 2)
+            cross_entropy_rows([[0.0, 0.0]], [2])
 
     def test_rows_match_single_bitwise(self):
         rng = np.random.default_rng(2)
@@ -61,9 +59,9 @@ class TestCrossEntropy:
         labels = rng.integers(0, 9, size=6)
         losses, grads = cross_entropy_rows(z, labels)
         for r in range(6):
-            loss_r, grad_r = cross_entropy(z[r], int(labels[r]))
-            assert losses[r] == loss_r
-            np.testing.assert_array_equal(grads[r], grad_r)
+            loss_r, grad_r = cross_entropy_rows(z[r : r + 1], labels[r : r + 1])
+            assert losses[r] == loss_r[0]
+            np.testing.assert_array_equal(grads[r], grad_r[0])
 
 
 def reference_cross_entropy_rows(z, labels):
@@ -146,36 +144,36 @@ class TestEffectiveNumberWeights:
 class TestCurriculumCrossEntropy:
     def test_reduces_to_cross_entropy(self):
         rng = np.random.default_rng(4)
-        z = rng.normal(size=6)
+        z = rng.normal(size=(1, 6))
         weights = np.ones(6)
-        loss, grad = curriculum_cross_entropy(z, 2, weights, 1.0)
-        ce_loss, ce_grad = cross_entropy(z, 2)
-        assert loss == ce_loss
+        loss, grad = curriculum_cross_entropy_rows(z, [2], weights, [1.0])
+        ce_loss, ce_grad = cross_entropy_rows(z, [2])
+        assert loss[0] == ce_loss[0]
         np.testing.assert_array_equal(grad, ce_grad)
 
     def test_half_weight(self):
         weights = np.ones(2)
-        loss, _ = curriculum_cross_entropy([0.0, 0.0], 0, weights, 0.5)
-        assert loss == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
+        loss, _ = curriculum_cross_entropy_rows([[0.0, 0.0]], [0], weights, [0.5])
+        assert loss[0] == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         weights = rng.uniform(0.5, 3.0, size=8)
         logits_grad_check(
-            lambda z: curriculum_cross_entropy(z, 5, weights, 0.37),
-            rng.normal(size=8),
+            lambda z: curriculum_cross_entropy_rows(z, [5], weights, [0.37]),
+            rng.normal(size=(1, 8)),
         )
 
     def test_bounded_by_weighted_cross_entropy(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            z = rng.normal(size=5)
+            z = rng.normal(size=(1, 5))
             weights = rng.uniform(0.1, 4.0, size=5)
             lam = rng.uniform(0.0, 1.0)
             y = int(rng.integers(0, 5))
-            loss, _ = curriculum_cross_entropy(z, y, weights, lam)
-            ce, _ = cross_entropy(z, y)
-            assert loss <= ce * weights[y] + 1e-12
+            loss, _ = curriculum_cross_entropy_rows(z, [y], weights, [lam])
+            ce, _ = cross_entropy_rows(z, [y])
+            assert loss[0] <= ce[0] * weights[y] + 1e-12
 
     def test_rows_match_single_bitwise(self):
         rng = np.random.default_rng(7)
@@ -185,11 +183,12 @@ class TestCurriculumCrossEntropy:
         lams = rng.uniform(0.0, 1.0, size=5)
         losses, grads = curriculum_cross_entropy_rows(z, labels, weights, lams)
         for r in range(5):
-            loss_r, grad_r = curriculum_cross_entropy(
-                z[r], int(labels[r]), weights, float(lams[r])
+            one = slice(r, r + 1)
+            loss_r, grad_r = curriculum_cross_entropy_rows(
+                z[one], labels[one], weights, lams[one]
             )
-            assert losses[r] == loss_r
-            np.testing.assert_array_equal(grads[r], grad_r)
+            assert losses[r] == loss_r[0]
+            np.testing.assert_array_equal(grads[r], grad_r[0])
 
 
 class TestHeadDistillation:
@@ -197,45 +196,45 @@ class TestHeadDistillation:
 
     def test_zero_gradient_at_match(self):
         rng = np.random.default_rng(8)
-        z = rng.normal(size=8) * 2
-        loss, grad = head_distillation_loss(z, z.copy(), 2.0, self.HEADS)
+        z = rng.normal(size=(1, 8)) * 2
+        loss, grad = head_distillation_rows(z, z.copy(), 2.0, self.HEADS)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
-        p = softmax(z[self.HEADS] / 2.0)
-        assert loss == pytest.approx(float(-np.sum(p * np.log(p))), abs=1e-12)
+        p = softmax(z[0, self.HEADS] / 2.0)
+        assert loss[0] == pytest.approx(float(-np.sum(p * np.log(p))), abs=1e-12)
 
     def test_uniform_limit_at_huge_temperature(self):
         rng = np.random.default_rng(9)
-        zt, zs = rng.normal(size=8) * 4, rng.normal(size=8) * 4
-        loss, _ = head_distillation_loss(zt, zs, 1000.0, self.HEADS)
-        assert loss == pytest.approx(np.log(len(self.HEADS)), abs=1e-3)
+        zt, zs = rng.normal(size=(1, 8)) * 4, rng.normal(size=(1, 8)) * 4
+        loss, _ = head_distillation_rows(zt, zs, 1000.0, self.HEADS)
+        assert loss[0] == pytest.approx(np.log(len(self.HEADS)), abs=1e-3)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        teacher = rng.normal(size=8) * 2
+        teacher = rng.normal(size=(1, 8)) * 2
         logits_grad_check(
-            lambda z: head_distillation_loss(teacher, z, 2.0, self.HEADS),
-            rng.normal(size=8),
+            lambda z: head_distillation_rows(teacher, z, 2.0, self.HEADS),
+            rng.normal(size=(1, 8)),
         )
 
     def test_gradient_confined_to_heads(self):
         rng = np.random.default_rng(11)
-        _, grad = head_distillation_loss(
-            rng.normal(size=8), rng.normal(size=8), 2.0, self.HEADS
+        _, grad = head_distillation_rows(
+            rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), 2.0, self.HEADS
         )
         non_heads = np.setdiff1d(np.arange(8), self.HEADS)
-        np.testing.assert_array_equal(grad[non_heads], 0.0)
+        np.testing.assert_array_equal(grad[0, non_heads], 0.0)
 
     def test_gibbs_bound(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            zt, zs = rng.normal(size=8) * 3, rng.normal(size=8) * 3
-            loss, _ = head_distillation_loss(zt, zs, 2.0, self.HEADS)
-            p = softmax(zt[self.HEADS] / 2.0)
-            assert loss >= float(-np.sum(p * np.log(p))) - 1e-12
+            zt, zs = rng.normal(size=(1, 8)) * 3, rng.normal(size=(1, 8)) * 3
+            loss, _ = head_distillation_rows(zt, zs, 2.0, self.HEADS)
+            p = softmax(zt[0, self.HEADS] / 2.0)
+            assert loss[0] >= float(-np.sum(p * np.log(p))) - 1e-12
 
     def test_degenerate_head_set_rejected(self):
         with pytest.raises(ConfigurationError):
-            head_distillation_loss(np.zeros(4), np.zeros(4), 2.0, [1])
+            head_distillation_rows(np.zeros((1, 4)), np.zeros((1, 4)), 2.0, [1])
 
     def test_rows_match_single_bitwise(self):
         rng = np.random.default_rng(13)
@@ -243,9 +242,10 @@ class TestHeadDistillation:
         zs = rng.normal(size=(4, 8))
         losses, grads = head_distillation_rows(zt, zs, 2.0, self.HEADS)
         for r in range(4):
-            loss_r, grad_r = head_distillation_loss(zt[r], zs[r], 2.0, self.HEADS)
-            assert losses[r] == loss_r
-            np.testing.assert_array_equal(grads[r], grad_r)
+            one = slice(r, r + 1)
+            loss_r, grad_r = head_distillation_rows(zt[one], zs[one], 2.0, self.HEADS)
+            assert losses[r] == loss_r[0]
+            np.testing.assert_array_equal(grads[r], grad_r[0])
 
 
 class TestCombiners:

@@ -1,13 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import brute_force_matcher
+from test_acceptance import brute_force_matcher, prediction_table
 
 from dualrel.metrics import (
     EvalReport,
-    GroundTruth,
-    RankedPrediction,
     TripleTable,
     compute_report,
     group_mean_recall,
@@ -18,114 +18,95 @@ from dualrel.metrics import (
 
 
 def brute_force_hits(preds, gts, k):
-    """Independent matcher: walk each image's ranked list, letting every
-    prediction consume at most one unmatched ground truth."""
-    images = sorted({g.image_id for g in gts} | {p.image_id for p in preds})
+    """Independent matcher over (image, subject, object, predicate[, score])
+    tuples: walk each image's ranked list, letting every prediction consume
+    at most one unmatched ground truth."""
+    images = sorted({g[0] for g in gts} | {p[0] for p in preds})
     total_hits = 0
     hits_by_class = {}
     for image_id in images:
         ranked = sorted(
-            [p for p in preds if p.image_id == image_id],
-            key=lambda p: (-p.score, p.predicate, p.subject_class, p.object_class),
+            [p for p in preds if p[0] == image_id],
+            key=lambda p: (-p[4], p[3], p[1], p[2]),
         )[:k]
-        remaining = [g for g in gts if g.image_id == image_id]
-        for p in ranked:
+        remaining = [g for g in gts if g[0] == image_id]
+        for _, subject, obj, predicate, _ in ranked:
             for g in remaining:
-                if (
-                    g.subject_class == p.subject_class
-                    and g.object_class == p.object_class
-                    and g.predicate == p.predicate
-                ):
+                if g[1:] == (subject, obj, predicate):
                     remaining.remove(g)
                     total_hits += 1
-                    hits_by_class[g.predicate] = hits_by_class.get(g.predicate, 0) + 1
+                    hits_by_class[predicate] = hits_by_class.get(predicate, 0) + 1
                     break
     return total_hits, hits_by_class
 
 
 def random_instance(rng, max_images=3, max_classes=4, max_preds=10):
+    """(prediction table, ground-truth table, class count, prediction tuples,
+    ground-truth tuples) of a random tiny instance."""
     n_images = int(rng.integers(1, max_images + 1))
     n_classes = int(rng.integers(2, max_classes + 1))
     gts, preds = [], []
     for image_id in range(n_images):
         for _ in range(int(rng.integers(1, 4))):
-            gts.append(
-                GroundTruth(
-                    image_id,
-                    int(rng.integers(1, 4)),
-                    int(rng.integers(1, 4)),
-                    int(rng.integers(1, n_classes + 1)),
-                )
-            )
+            gts.append((
+                image_id,
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, n_classes + 1)),
+            ))
         for _ in range(int(rng.integers(0, max_preds + 1))):
-            preds.append(
-                RankedPrediction(
-                    image_id,
-                    int(rng.integers(1, 4)),
-                    int(rng.integers(1, 4)),
-                    int(rng.integers(1, n_classes + 1)),
-                    float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9])),
-                )
-            )
-    return preds, gts, n_classes
+            preds.append((
+                image_id,
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, n_classes + 1)),
+                float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9])),
+            ))
+    return prediction_table(preds), TripleTable.from_rows(gts), n_classes, preds, gts
 
 
 class TestRecallAtK:
     def test_perfect_ranking(self):
-        gts = [GroundTruth(0, 1, 2, 3), GroundTruth(1, 2, 1, 1)]
-        preds = [
-            RankedPrediction(0, 1, 2, 3, 0.9),
-            RankedPrediction(1, 2, 1, 1, 0.8),
-        ]
+        gts = TripleTable.from_rows([(0, 1, 2, 3), (1, 2, 1, 1)])
+        preds = prediction_table([(0, 1, 2, 3, 0.9), (1, 2, 1, 1, 0.8)])
         assert recall_at_k(preds, gts, 1) == 1.0
 
     def test_no_overlap(self):
-        gts = [GroundTruth(0, 1, 2, 3)]
-        preds = [RankedPrediction(0, 1, 2, 2, 0.9)]
+        gts = TripleTable.from_rows([(0, 1, 2, 3)])
+        preds = prediction_table([(0, 1, 2, 2, 0.9)])
         assert recall_at_k(preds, gts, 5) == 0.0
 
     def test_partial_hits_small_instance(self):
-        gts = [
-            GroundTruth(0, 1, 2, 1),
-            GroundTruth(0, 2, 3, 2),
-            GroundTruth(0, 3, 1, 3),
-        ]
-        preds = [
-            RankedPrediction(0, 1, 2, 1, 0.9),
-            RankedPrediction(0, 2, 3, 2, 0.8),
-            RankedPrediction(0, 3, 1, 3, 0.7),
-        ]
+        gts = TripleTable.from_rows([(0, 1, 2, 1), (0, 2, 3, 2), (0, 3, 1, 3)])
+        preds = prediction_table(
+            [(0, 1, 2, 1, 0.9), (0, 2, 3, 2, 0.8), (0, 3, 1, 3, 0.7)]
+        )
         assert recall_at_k(preds, gts, 2) == pytest.approx(2.0 / 3.0)
 
     def test_duplicate_predictions_consume_one_gt_each(self):
-        gts = [GroundTruth(0, 1, 2, 1)]
-        preds = [
-            RankedPrediction(0, 1, 2, 1, 0.9),
-            RankedPrediction(0, 1, 2, 1, 0.8),
-        ]
-        assert recall_at_k(preds, gts, 2) == 1.0
-        gts2 = gts + [GroundTruth(0, 1, 2, 1)]
+        preds = prediction_table([(0, 1, 2, 1, 0.9), (0, 1, 2, 1, 0.8)])
+        assert recall_at_k(preds, TripleTable.from_rows([(0, 1, 2, 1)]), 2) == 1.0
+        gts2 = TripleTable.from_rows([(0, 1, 2, 1)] * 2)
         assert recall_at_k(preds, gts2, 2) == 1.0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            recall_at_k([], [GroundTruth(0, 1, 1, 1)], 0)
+            recall_at_k(prediction_table([]), TripleTable.from_rows([(0, 1, 1, 1)]), 0)
         with pytest.raises(ValueError):
-            recall_at_k([], [], 5)
+            recall_at_k(prediction_table([]), TripleTable.from_rows([]), 5)
 
 
 class TestMeanRecall:
     def test_single_class_equals_recall(self):
-        rng = np.random.default_rng(0)
-        gts = [GroundTruth(0, 1, 2, 1), GroundTruth(0, 2, 2, 1)]
-        preds = [RankedPrediction(0, 1, 2, 1, 0.9)]
+        gts = TripleTable.from_rows([(0, 1, 2, 1), (0, 2, 2, 1)])
+        preds = prediction_table([(0, 1, 2, 1, 0.9)])
         mr, per_class = mean_recall_at_k(preds, gts, 5, 3)
         assert mr == recall_at_k(preds, gts, 5)
         assert np.isnan(per_class[2])
 
     def test_two_class_average(self):
-        gts = [GroundTruth(0, 1, 2, 1), GroundTruth(0, 2, 2, 2)]
-        preds = [RankedPrediction(0, 1, 2, 1, 0.9)]
+        gts = TripleTable.from_rows([(0, 1, 2, 1), (0, 2, 2, 2)])
+        preds = prediction_table([(0, 1, 2, 1, 0.9)])
         mr, per_class = mean_recall_at_k(preds, gts, 5, 2)
         assert mr == pytest.approx(0.5)
         assert per_class[1] == 1.0 and per_class[2] == 0.0
@@ -133,7 +114,7 @@ class TestMeanRecall:
     def test_mr_is_mean_of_per_class(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            preds, gts, n_classes = random_instance(rng)
+            preds, gts, n_classes, _, _ = random_instance(rng)
             mr, per_class = mean_recall_at_k(preds, gts, 4, n_classes)
             evaluated = ~np.isnan(per_class[1:])
             assert mr == pytest.approx(
@@ -193,16 +174,16 @@ class TestOracleAgreement:
     def test_random_tiny_instances_match_brute_force(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            preds, gts, n_classes = random_instance(rng)
+            preds, gts, n_classes, pred_rows, gt_rows = random_instance(rng)
             for k in (1, 2, 4, 8):
-                hits, by_class = brute_force_hits(preds, gts, k)
+                hits, by_class = brute_force_hits(pred_rows, gt_rows, k)
                 assert recall_at_k(preds, gts, k) == pytest.approx(
                     hits / len(gts), abs=1e-12
                 )
                 _, per_class = mean_recall_at_k(preds, gts, k, n_classes)
                 gt_counts = {}
-                for g in gts:
-                    gt_counts[g.predicate] = gt_counts.get(g.predicate, 0) + 1
+                for *_, predicate in gt_rows:
+                    gt_counts[predicate] = gt_counts.get(predicate, 0) + 1
                 for c in range(1, n_classes + 1):
                     if c in gt_counts:
                         assert per_class[c] == pytest.approx(
@@ -216,40 +197,28 @@ class TestProperties:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            preds, gts, n_classes = random_instance(rng, max_preds=10)
+            preds, gts, n_classes, _, _ = random_instance(rng, max_preds=10)
             values = [recall_at_k(preds, gts, k) for k in (1, 3, 5, 10)]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_promoting_a_correct_prediction_never_hurts(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            preds, gts, n_classes = random_instance(rng, max_preds=8)
-            correct = [
-                i
-                for i, p in enumerate(preds)
-                if any(
-                    g.image_id == p.image_id
-                    and g.subject_class == p.subject_class
-                    and g.object_class == p.object_class
-                    and g.predicate == p.predicate
-                    for g in gts
-                )
-            ]
+            preds, gts, n_classes, pred_rows, gt_rows = random_instance(rng, max_preds=8)
+            correct = [i for i, p in enumerate(pred_rows) if p[:4] in gt_rows]
             if not correct:
                 continue
-            i = correct[0]
-            boosted = list(preds)
-            boosted[i] = RankedPrediction(
-                preds[i].image_id, preds[i].subject_class, preds[i].object_class,
-                preds[i].predicate, 1.0,
-            )
+            boosted_score = preds.score.copy()
+            boosted_score[correct[0]] = 1.0
+            boosted = dataclasses.replace(preds, score=boosted_score)
             for k in (1, 2, 4):
                 assert recall_at_k(boosted, gts, k) >= recall_at_k(preds, gts, k) - 1e-12
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(6)
-        preds, gts, n_classes = random_instance(rng, max_preds=10)
-        shuffled = [preds[i] for i in rng.permutation(len(preds))]
+        _, gts, n_classes, pred_rows, _ = random_instance(rng, max_preds=10)
+        preds = prediction_table(pred_rows)
+        shuffled = prediction_table([pred_rows[i] for i in rng.permutation(len(pred_rows))])
         for k in (1, 3, 7):
             assert recall_at_k(preds, gts, k) == recall_at_k(shuffled, gts, k)
             assert mean_recall_at_k(preds, gts, k, n_classes)[0] == mean_recall_at_k(
@@ -259,7 +228,7 @@ class TestProperties:
 
 def test_compute_report_identity_and_monotonicity():
     rng = np.random.default_rng(7)
-    preds, gts, n_classes = random_instance(rng, max_images=3, max_preds=10)
+    preds, gts, n_classes, _, _ = random_instance(rng, max_images=3, max_preds=10)
     groups = ([1], [2], list(range(3, n_classes + 1)))
     report = compute_report(preds, gts, n_classes, groups, ks=(1, 3, 9))
     assert isinstance(report, EvalReport)
@@ -281,32 +250,28 @@ def tied_instances(draw):
     gts, preds = [], []
     for image_id in range(draw(st.integers(1, 4))):
         for s, o, p in draw(st.lists(triple, max_size=4)):
-            gts.append(GroundTruth(image_id, s, o, p))
+            gts.append((image_id, s, o, p))
         for (s, o, p), score in draw(
             st.lists(st.tuples(triple, st.sampled_from([0.25, 0.75])), max_size=14)
         ):
-            preds.append(RankedPrediction(image_id, s, o, p, score))
+            preds.append((image_id, s, o, p, score))
     if not gts:
-        gts.append(GroundTruth(0, *draw(triple)))
+        gts.append((0, *draw(triple)))
     return preds, gts, n_classes
-
-
-def as_prediction_table(preds):
-    rows = [(p.image_id, p.subject_class, p.object_class, p.predicate) for p in preds]
-    return TripleTable.from_rows(rows, np.asarray([p.score for p in preds], dtype=float))
 
 
 @settings(max_examples=300, deadline=None)
 @given(tied_instances(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
 def test_array_ranking_matches_brute_force_matcher(instance, ks):
-    preds, gts, n_classes = instance
+    pred_rows, gt_rows, n_classes = instance
     gt_counts = {}
-    for g in gts:
-        gt_counts[g.predicate] = gt_counts.get(g.predicate, 0) + 1
+    for *_, predicate in gt_rows:
+        gt_counts[predicate] = gt_counts.get(predicate, 0) + 1
     groups = ([1], list(range(2, n_classes + 1)), [])
-    report = compute_report(as_prediction_table(preds), gts, n_classes, groups, ks)
+    preds, gts = prediction_table(pred_rows), TripleTable.from_rows(gt_rows)
+    report = compute_report(preds, gts, n_classes, groups, ks)
     for k in ks:
-        by_class = brute_force_matcher(preds, gts, k)
+        by_class = brute_force_matcher(pred_rows, gt_rows, k)
         recall = sum(by_class.values()) / len(gts)
         assert recall_at_k(preds, gts, k) == recall
         assert report.r_at_k[k] == recall
@@ -320,15 +285,3 @@ def test_array_ranking_matches_brute_force_matcher(instance, ks):
             else:
                 assert np.isnan(per_class[c])
 
-
-def test_prediction_table_passes_through_with_its_row_count():
-    rng = np.random.default_rng(8)
-    preds, gts, n_classes = random_instance(rng, max_preds=10)
-    table = as_prediction_table(preds)
-    assert len(table) == len(preds)
-    groups = ([1], [2], list(range(3, n_classes + 1)))
-    a = compute_report(table, gts, n_classes, groups, ks=(1, 4))
-    b = compute_report(preds, gts, n_classes, groups, ks=(1, 4))
-    assert (a.r_at_k, a.mr_at_k, a.group_recalls) == (b.r_at_k, b.mr_at_k, b.group_recalls)
-    for k in (1, 4):
-        np.testing.assert_array_equal(a.per_predicate[k], b.per_predicate[k])

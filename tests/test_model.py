@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dualrel.datagen import (
     FEATURE_FIELDS,
     GeneratorConfig,
+    RelationTable,
     build_prior_bias,
     generate_dataset,
     load_relations,
@@ -18,10 +19,8 @@ from dualrel.datagen import (
 from dualrel.losses import cross_entropy_rows
 from dualrel.model import (
     DualBranchModel,
-    decode,
     decode_rows,
     decode_rows_backward,
-    extract_features,
     extractor_backward,
     extractor_forward,
     fine_branch_forward,
@@ -100,16 +99,21 @@ class TestTableInputs:
             assert got.tolist() == expected
 
 
+def zero_contexts(model):
+    return np.zeros((1, model.hidden_dim))
+
+
 class TestExtractor:
     def test_identical_context_for_both_branches(self, dataset, model):
         _, train, _ = dataset
-        inst = train[0]
-        first = extract_features(model, inst)
-        second = extract_features(model, inst)
+        one = train[:1]
+        first, _ = extractor_forward(model, instance_matrix(model, one))
+        second, _ = extractor_forward(model, instance_matrix(model, one))
         np.testing.assert_array_equal(first, second)
-        # both decoders read the same context vector; only the heads differ
-        coarse = decode(model, "coarse", first, inst.subject_class, inst.object_class)
-        fine = decode(model, "fine", first, inst.subject_class, inst.object_class)
+        # both decoders read the same context rows; only the heads differ
+        subjects, objects = one.ids[:, 1], one.ids[:, 2]
+        coarse = decode_rows(model, "coarse", first, subjects, objects)
+        fine = decode_rows(model, "fine", first, subjects, objects)
         assert coarse.shape == fine.shape
 
     def test_zero_input_zero_bias_gives_zero_preactivation(self, model):
@@ -119,84 +123,77 @@ class TestExtractor:
 
     def test_weight_perturbation_moves_both_branches(self, dataset, model):
         _, train, _ = dataset
-        inst = train[0]
-        before_c = decode(model, "coarse", extract_features(model, inst),
-                          inst.subject_class, inst.object_class)
-        before_f = decode(model, "fine", extract_features(model, inst),
-                          inst.subject_class, inst.object_class)
+        one = train[:1]
+        subjects, objects = one.ids[:, 1], one.ids[:, 2]
+
+        def both_branches():
+            h, _ = extractor_forward(model, instance_matrix(model, one))
+            return [decode_rows(model, branch, h, subjects, objects)
+                    for branch in ("coarse", "fine")]
+
+        before_c, before_f = both_branches()
         # perturb a first-layer weight feeding a relu unit that is active
-        # for this instance, so the change must reach both branches
-        _, cache = extractor_forward(model, instance_matrix(model, train[:1]))
+        # for this relation, so the change must reach both branches
+        _, cache = extractor_forward(model, instance_matrix(model, one))
         active_unit = int(np.argmax(cache["pre"][0]))
         assert cache["pre"][0, active_unit] > 0
         model.store["extractor.l1.w"][0, active_unit] += 0.5
-        after_ctx = extract_features(model, inst)
-        after_c = decode(model, "coarse", after_ctx, inst.subject_class,
-                         inst.object_class)
-        after_f = decode(model, "fine", after_ctx, inst.subject_class,
-                         inst.object_class)
+        after_c, after_f = both_branches()
         assert not np.array_equal(before_c, after_c)
         assert not np.array_equal(before_f, after_f)
 
     def test_dimension_mismatch_rejected(self, dataset, model):
         _, train, _ = dataset
-        inst = train[0]
-        bad = type(inst)(
-            image_id=0, subject_class=1, object_class=2, gt_predicate=1,
-            subject_feature=np.zeros(CFG.feature_dim + 1),
-            object_feature=np.zeros(CFG.feature_dim + 1),
-            union_feature=np.zeros(CFG.feature_dim + 1),
-            subject_label_dist=inst.subject_label_dist,
-            object_label_dist=inst.object_label_dist,
+        d = CFG.feature_dim + 1
+        bad = RelationTable(
+            ids=train.ids[:1],
+            x=np.zeros((1, 3 * d + 2 * (CFG.num_object_classes + 1))),
+            num_object_classes=CFG.num_object_classes, feature_dim=d,
         )
-        with pytest.raises(ValueError):
-            extract_features(model, bad)
+        with pytest.raises(ValueError, match="feature dim"):
+            instance_matrix(model, bad)
+        with pytest.raises(ValueError, match="feature dim"):
+            run_inputs(model, [bad])
 
 
 class TestDecode:
     def test_zero_context_zero_bias_gives_prior_slice(self, model):
         model.store["decoder.coarse.b"][:] = 0.0
-        logits = decode(model, "coarse", np.zeros(model.hidden_dim), 2, 3)
-        np.testing.assert_array_equal(logits, model.store["prior.table"][2, 3])
+        logits = decode_rows(model, "coarse", zero_contexts(model), [2], [3])
+        np.testing.assert_array_equal(logits[0], model.store["prior.table"][2, 3])
 
     def test_unseen_pair_gives_linear_output_alone(self, model):
         rng = np.random.default_rng(0)
-        ctx = rng.normal(size=model.hidden_dim)
+        ctx = rng.normal(size=(1, model.hidden_dim))
         # object class 0 never appears in generated data, so the pair (0, 0)
         # has an all-zero prior slice
         np.testing.assert_array_equal(model.store["prior.table"][0, 0], 0.0)
-        logits = decode(model, "fine", ctx, 0, 0)
+        logits = decode_rows(model, "fine", ctx, [0], [0])
         expected = ctx @ model.store["decoder.fine.w"] + model.store["decoder.fine.b"]
         np.testing.assert_array_equal(logits, expected)
 
     def test_branches_differ_on_random_context(self, model):
         rng = np.random.default_rng(1)
-        ctx = rng.normal(size=model.hidden_dim)
+        ctx = rng.normal(size=(1, model.hidden_dim))
         assert not np.array_equal(
-            decode(model, "coarse", ctx, 1, 2), decode(model, "fine", ctx, 1, 2)
+            decode_rows(model, "coarse", ctx, [1], [2]),
+            decode_rows(model, "fine", ctx, [1], [2]),
         )
 
     def test_affine_in_context(self, model):
         rng = np.random.default_rng(2)
-        c1 = rng.normal(size=model.hidden_dim)
-        c2 = rng.normal(size=model.hidden_dim)
-        lhs = (
-            decode(model, "fine", c1, 1, 2)
-            + decode(model, "fine", c2, 1, 2)
-            - decode(model, "fine", np.zeros(model.hidden_dim), 1, 2)
-        )
-        rhs = decode(model, "fine", c1 + c2, 1, 2)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+        c1 = rng.normal(size=(1, model.hidden_dim))
+        c2 = rng.normal(size=(1, model.hidden_dim))
+
+        def fine(ctx):
+            return decode_rows(model, "fine", ctx, [1], [2])
+
+        lhs = fine(c1) + fine(c2) - fine(zero_contexts(model))
+        np.testing.assert_allclose(lhs, fine(c1 + c2), atol=1e-9)
 
     def test_invalid_class_rejected(self, model):
-        with pytest.raises(ValueError):
-            decode(model, "coarse", np.zeros(model.hidden_dim), 99, 0)
-        with pytest.raises(ValueError):
-            decode(model, "nonesuch", np.zeros(model.hidden_dim), 0, 0)
-
-    def test_context_width_checked(self, model):
-        with pytest.raises(ValueError):
-            decode(model, "coarse", np.zeros(model.hidden_dim + 1), 0, 0)
+        with pytest.raises(ValueError, match="object class 99"):
+            decode_rows(model, "coarse", zero_contexts(model), [99], [0])
 
 
 class TestFineBranchForward:

@@ -5,6 +5,11 @@ a call to a span of a component the baseline turns off; the eval path must
 therefore reach the context module without going through the binding the
 tracer wraps in ``training``. These tests install the benchmark's own
 ``Tracer`` around a few training iterations and one evaluation.
+
+Every workload's set-up also runs here, so that the library names and call
+forms the benchmark uses (``model.instance_matrix``, ``decode_rows`` with
+list ids, ``training._BatchContext``, row iteration of a table slice, ...)
+are checked by the test suite and not only by a benchmark run.
 """
 
 import os
@@ -16,7 +21,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 
 from tracing import Tracer, nested_calls  # noqa: E402
-from workloads import BASELINE_ABSENT_SPANS, BASELINE_FLAGS  # noqa: E402
+from workloads import BASELINE_ABSENT_SPANS, BASELINE_FLAGS, WORKLOADS  # noqa: E402
 
 from dualrel import datagen, training  # noqa: E402
 from dualrel.model import DualBranchModel  # noqa: E402
@@ -73,3 +78,8 @@ def test_full_run_records_the_context_module_under_the_training_step(dataset):
     assert under_step >= 4
     # the evaluation's context forwards are not recorded at all
     assert under_step == sum(index == context for index, *_ in records)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_setup_runs(workload, tmp_path):
+    WORKLOADS[workload](1, str(tmp_path)).setup()

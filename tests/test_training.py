@@ -16,8 +16,6 @@ from dualrel.datagen import (
 from dualrel.losses import effective_number_weights
 from dualrel.metrics import (
     EvalReport,
-    GroundTruth,
-    RankedPrediction,
     format_report,
     group_mean_recall,
     mean_at_k,
@@ -382,8 +380,10 @@ class TestEvaluate:
 
 
 def object_and_sort_report(model, test_split, vocab, ks):
-    """Evaluation as it was done with one object per prediction and one
-    Python sort per image and K: the reference for the array ranking."""
+    """Evaluation with one Python tuple per prediction and one Python sort
+    per image and K: the reference for the array ranking.
+    Predictions are (image, subject, object, predicate, score) tuples and
+    ground truths (image, subject, object, predicate) tuples."""
     preds = []
     for image in relations_by_image(test_split):
         probs = softmax(
@@ -391,30 +391,24 @@ def object_and_sort_report(model, test_split, vocab, ks):
         )
         for inst, row in zip(image, probs):
             for predicate in range(1, model.num_predicates + 1):
-                preds.append(RankedPrediction(
-                    inst.image_id, inst.subject_class, inst.object_class,
-                    predicate, float(row[predicate]),
-                ))
+                preds.append((inst.image_id, inst.subject_class, inst.object_class,
+                              predicate, float(row[predicate])))
     gts = [
-        GroundTruth(inst.image_id, inst.subject_class, inst.object_class,
-                    inst.gt_predicate)
+        (inst.image_id, inst.subject_class, inst.object_class, inst.gt_predicate)
         for inst in test_split if inst.gt_predicate != 0
     ]
     n = vocab.num_predicates
-    totals = np.bincount([g.predicate for g in gts], minlength=n + 1)
+    totals = np.bincount([g[3] for g in gts], minlength=n + 1)
     report = EvalReport(tuple(ks), {}, {}, {}, {}, {})
     for k in ks:
         hits = np.zeros(n + 1, dtype=np.int64)
-        for image_id in sorted({g.image_id for g in gts}):
+        for image_id in sorted({g[0] for g in gts}):
             ranked = sorted(
-                (p for p in preds if p.image_id == image_id),
-                key=lambda p: (-p.score, p.predicate, p.subject_class, p.object_class),
+                (p for p in preds if p[0] == image_id),
+                key=lambda p: (-p[4], p[3], p[1], p[2]),
             )[:k]
-            top = Counter((p.subject_class, p.object_class, p.predicate) for p in ranked)
-            truth = Counter(
-                (g.subject_class, g.object_class, g.predicate)
-                for g in gts if g.image_id == image_id
-            )
+            top = Counter(p[1:4] for p in ranked)
+            truth = Counter(g[1:] for g in gts if g[0] == image_id)
             for triple, count in truth.items():
                 hits[triple[2]] += min(top[triple], count)
         per_class = np.full(n + 1, np.nan)
@@ -505,6 +499,14 @@ class TestTrainConfig:
             ("log_every", 0),
             ("log_every", -2),
             ("eval_every", -1),
+            # eval_ks must be a non-empty sequence of distinct integers >= 1
+            ("eval_ks", ()),
+            ("eval_ks", (0,)),
+            ("eval_ks", (5, -1)),
+            ("eval_ks", (5, 5)),
+            ("eval_ks", (2.5,)),
+            ("eval_ks", (True,)),
+            ("eval_ks", 20),
         ],
     )
     def test_rejects_nan_and_out_of_range_values(self, name, value):
