@@ -55,7 +55,7 @@ print(f"\nhybrid at the late-phase floor 0.1: "
 print(f"total with gap 0.5 and distillation 2.0 at mu=0.05: "
       f"{total_loss(hybrid_loss(0.1, 2.0, 4.0), 0.5, 2.0, 0.05):.2f}")
 
-store = ParamStore()
+store = ParamStore([("z", (1, 7), True)])
 store.add("z", rng.normal(size=(1, 7)))
 
 

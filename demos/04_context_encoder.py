@@ -9,6 +9,7 @@ the gap loss unchanged.
 
 import numpy as np
 
+from dualrel.model import parameter_layout
 from dualrel.numerics import ParamStore
 from dualrel.semantic_context import (
     add_params,
@@ -16,13 +17,15 @@ from dualrel.semantic_context import (
     context_param_specs,
     embedding_specs,
     global_token,
+    target_global_token,
     triplet_semantics_rows,
 )
 
 N_PRED, N_OBJ, DIM = 8, 6, 32
 rng = np.random.default_rng(7)
-store = ParamStore()
-add_params(store, context_param_specs(N_PRED, DIM) + embedding_specs(N_PRED, N_OBJ), rng)
+specs = context_param_specs(N_PRED, DIM) + embedding_specs(N_PRED, N_OBJ)
+store = ParamStore(parameter_layout(specs))
+add_params(store, specs, rng)
 # the correction head starts at zero; give it random weights so the
 # corrections are visible in this demo
 store["context.classifier.w"][:] = rng.normal(size=(DIM, N_PRED + 1)) * 0.3
@@ -39,14 +42,15 @@ gt = (
     rng.integers(1, N_OBJ + 1, size=n),
 )
 
-result = context_forward(fine_logits, subj, obj, store, ground_truth=gt)
+result = context_forward(fine_logits, subj, obj, store,
+                         target=target_global_token(*gt, store))
 print(f"{n} relations -> corrections of shape {result.correction.shape}, "
       f"semantic gap {result.gap_loss:.4f}")
 
 perm = rng.permutation(n)
 shuffled = context_forward(
     fine_logits[perm], subj[perm], obj[perm], store,
-    ground_truth=(gt[0][perm], gt[1][perm], gt[2][perm]),
+    target=target_global_token(gt[0][perm], gt[1][perm], gt[2][perm], store),
 )
 row_drift = np.abs(shuffled.correction - result.correction[perm]).max()
 print(f"shuffling the relations: corrections permute identically "
@@ -70,6 +74,7 @@ obj_oh[np.arange(n), gt[2]] = 1.0
 for i in range(1, n):
     confident[i] = -500.0
     confident[i, gt[0][i]] = 500.0
-exact = context_forward(confident, subj_oh, obj_oh, store, ground_truth=gt)
+exact = context_forward(confident, subj_oh, obj_oh, store,
+                        target=target_global_token(*gt, store))
 print(f"\nwhen the predictions match the ground truth exactly, the "
       f"semantic gap closes: {exact.gap_loss:.1f}")

@@ -22,7 +22,13 @@ from .datagen import (
     open_atomic,
     save_dataset,
 )
-from .metrics import DEFAULT_KS, format_report
+from .metrics import (
+    DEFAULT_KS,
+    check_ks,
+    format_report,
+    per_predicate_table,
+    recall_cell,
+)
 from .model import DualBranchModel, load_checkpoint, save_checkpoint
 from .training import evaluate, parse_log, train, write_log
 
@@ -97,22 +103,19 @@ def _cmd_train(args):
 
 
 def _parse_ks(text):
-    """The K values of ``--ks``: distinct integers of at least 1."""
+    """The K values of ``--ks``, checked by ``metrics.check_ks``."""
     ks = []
     for part in text.split(","):
         if not part:
             continue
         try:
-            k = int(part)
+            ks.append(int(part))
         except ValueError:
             raise ValueError(f"--ks: {part!r} is not an integer") from None
-        if k < 1:
-            raise ValueError(f"--ks: K must be at least 1, got {k}")
-        if k in ks:
-            raise ValueError(f"--ks: K={k} is given twice")
-        ks.append(k)
-    if not ks:
-        raise ValueError("--ks must name at least one K")
+    try:
+        check_ks(ks)
+    except ValueError as exc:
+        raise ValueError(f"--ks: {exc}") from None
     return tuple(ks)
 
 
@@ -153,8 +156,7 @@ def _cmd_report(args):
         for row in evals:
             cells = [str(row["iteration"]), str(row["K"])]
             for key in ("r", "mr", "m", "many", "medium", "few"):
-                value = row[key]
-                cells.append("absent" if value is None else f"{value:.6f}")
+                cells.append(recall_cell(row[key]))
             lines.append("\t".join(cells))
     if evalpreds:
         last_iter = max(row["iteration"] for row in evalpreds)
@@ -162,22 +164,15 @@ def _cmd_report(args):
         lines.append("")
         lines.append(f"per-predicate recall at iteration {last_iter} "
                      "(descending train count)")
-        lines.append("predicate\ttrain_count" + "".join(f"\trecall@{k}" for k in ks))
         rows = {}
         for row in evalpreds:
             if row["iteration"] == last_iter:
                 rows.setdefault(row["index"], {})[row["K"]] = row
-        order = sorted(
-            rows,
-            key=lambda i: (-rows[i][ks[0]]["train_count"], i),
-        )
-        for i in order:
-            first = rows[i][ks[0]]
-            cells = [first["name"], str(first["train_count"])]
-            for k in ks:
-                recall = rows[i][k]["recall"]
-                cells.append("absent" if recall is None else f"{recall:.6f}")
-            lines.append("\t".join(cells))
+        lines += per_predicate_table(ks, [
+            (i, by_k[ks[0]]["name"], by_k[ks[0]]["train_count"],
+             [by_k[k]["recall"] for k in ks])
+            for i, by_k in rows.items()
+        ])
     with open_atomic(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"report written to {args.out}")

@@ -14,6 +14,7 @@ and remain because the benchmark in ``bench/`` traces them by name.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -85,9 +86,22 @@ def _hits(preds, gts, ks, num_classes):
     return hits
 
 
-def _check_ks(ks, gts, what):
-    if any(k <= 0 for k in ks):
-        raise ValueError("K must be positive")
+def check_ks(ks):
+    """The rule for every K the package takes: ``ks`` must be a non-empty
+    tuple or list of distinct integers of at least 1; ValueError otherwise."""
+    if not isinstance(ks, (tuple, list)) or not ks:
+        raise ValueError(f"K values must be a non-empty sequence, got {ks!r}")
+    for i, k in enumerate(ks):
+        if not isinstance(k, Integral) or isinstance(k, bool):
+            raise ValueError(f"K must be an integer, got {k!r}")
+        if k < 1:
+            raise ValueError(f"K must be at least 1, got {k}")
+        if k in ks[:i]:
+            raise ValueError(f"K={k} is given twice")
+
+
+def _check_inputs(ks, gts, what):
+    check_ks(ks)
     if not len(gts):
         raise ValueError(f"{what} needs at least one ground truth")
 
@@ -109,7 +123,7 @@ def _mean_recall(hits, totals):
 
 def recall_at_k(preds, gts, k):
     """Micro recall: matched ground truths over all ground truths."""
-    _check_ks((k,), gts, "recall")
+    _check_inputs((k,), gts, "recall")
     num_classes = int(gts.predicate.max())
     hits = _hits(preds, gts, (k,), num_classes)
     return _recall(hits[0], len(gts))
@@ -121,7 +135,7 @@ def mean_recall_at_k(preds, gts, k, num_predicates):
     Returns (mean, per-predicate vector of length num_predicates + 1);
     classes without ground truths hold NaN and are excluded from the mean.
     """
-    _check_ks((k,), gts, "mean recall")
+    _check_inputs((k,), gts, "mean recall")
     hits = _hits(preds, gts, (k,), num_predicates)
     totals = np.bincount(gts.predicate, minlength=num_predicates + 1)
     return _mean_recall(hits[0], totals)
@@ -170,7 +184,7 @@ def compute_report(preds, gts, num_predicates, groups, ks=DEFAULT_KS):
     preds is a scored TripleTable and gts an unscored one; every K comes
     from one ranking.
     """
-    _check_ks(ks, gts, "recall")
+    _check_inputs(ks, gts, "recall")
     totals = np.bincount(gts.predicate, minlength=num_predicates + 1)
     hits = _hits(preds, gts, ks, num_predicates)
     report = EvalReport(tuple(ks), {}, {}, {}, {}, {})
@@ -185,6 +199,22 @@ def compute_report(preds, gts, num_predicates, groups, ks=DEFAULT_KS):
     return report
 
 
+def recall_cell(value):
+    """A recall as a report cell: ``absent`` for None, else six decimals."""
+    return "absent" if value is None else f"{value:.6f}"
+
+
+def per_predicate_table(ks, predicates):
+    """Lines of the per-predicate recall table: a header, then one line per
+    (index, name, train_count, recalls) entry of ``predicates``, by
+    descending train count, then index. recalls holds one value per K, None
+    where the predicate has no ground truth."""
+    lines = ["predicate\ttrain_count" + "".join(f"\trecall@{k}" for k in ks)]
+    for _, name, count, recalls in sorted(predicates, key=lambda p: (-p[2], p[0])):
+        lines.append("\t".join([name, str(count), *map(recall_cell, recalls)]))
+    return lines
+
+
 def format_report(report, vocab):
     """Text tables: (metric, K, value) rows, then per-predicate recalls
     sorted by descending training frequency."""
@@ -195,19 +225,12 @@ def format_report(report, vocab):
         lines.append(f"mr_at_k\t{k}\t{report.mr_at_k[k]:.6f}")
         lines.append(f"m_at_k\t{k}\t{report.m_at_k[k]:.6f}")
         for name, value in zip(group_names, report.group_recalls[k]):
-            shown = "absent" if value is None else f"{value:.6f}"
-            lines.append(f"{name}_recall\t{k}\t{shown}")
+            lines.append(f"{name}_recall\t{k}\t{recall_cell(value)}")
     lines.append("")
-    header = "predicate\ttrain_count" + "".join(f"\trecall@{k}" for k in report.ks)
-    lines.append(header)
-    order = sorted(
-        range(1, vocab.num_predicates + 1),
-        key=lambda i: (-int(vocab.train_counts[i]), i),
-    )
-    for i in order:
-        row = f"{vocab.names[i]}\t{int(vocab.train_counts[i])}"
-        for k in report.ks:
-            value = report.per_predicate[k][i]
-            row += "\tabsent" if np.isnan(value) else f"\t{value:.6f}"
-        lines.append(row)
+    per_class = [report.per_predicate[k] for k in report.ks]
+    lines += per_predicate_table(report.ks, [
+        (i, vocab.names[i], int(vocab.train_counts[i]),
+         [None if np.isnan(recalls[i]) else recalls[i] for recalls in per_class])
+        for i in range(1, vocab.num_predicates + 1)
+    ])
     return "\n".join(lines) + "\n"

@@ -7,6 +7,11 @@ label distributions) to a context vector. Two linear decoders read it: the
 with the curriculum objectives and used at inference. Both branches add the
 frozen subject-object prior-bias slice to their logits. The extractor is a
 single set of parameters, so sharing between branches is by construction.
+Every parameter lives in one ``ParamStore`` whose layout
+``parameter_layout`` derives from ``parameter_specs``: ``build`` draws the
+values, and a checkpoint fills them as stored. Inference
+(``fine_branch_rows``) returns the fine logits plus the set encoder's
+correction.
 
 The layers take one image's (n, ·) rows or a (G, n, ·) stack of equal-size
 images; one relation is a one-row table. Two one-image forms remain,
@@ -58,30 +63,23 @@ class DualBranchModel:
               context_dim, prior_table=None, seed=0):
         """Deterministically initialized model; prior defaults to all-zero.
 
-        The store's arenas are sized once, from ``parameter_specs``."""
+        The store's arenas are sized once, from ``parameter_layout``."""
         rng = np.random.default_rng(seed)
         specs = parameter_specs(
             num_object_classes, num_predicates, feature_dim, hidden_dim, context_dim
         )
         model = cls(
-            store=ParamStore(
-                (name, shape, init not in FROZEN_INITS) for name, shape, init in specs
-            ),
+            store=ParamStore(parameter_layout(specs)),
             num_object_classes=num_object_classes,
             num_predicates=num_predicates,
             feature_dim=feature_dim,
             hidden_dim=hidden_dim,
             context_dim=context_dim,
         )
-        *drawn, (prior_name, expected, _) = specs
+        *drawn, _ = specs  # the prior table, last, is not drawn
         semantic_context.add_params(model.store, drawn, rng)
-        if prior_table is None:
-            prior_table = np.zeros(expected)
-        if prior_table.shape != expected:
-            raise ValueError(
-                f"prior table shape {prior_table.shape} does not match {expected}"
-            )
-        model.store.add(prior_name, prior_table, trainable=False)
+        if prior_table is not None:
+            model.store.add("prior.table", prior_table)
         return model
 
 
@@ -91,7 +89,7 @@ def parameter_specs(num_object_classes, num_predicates, feature_dim, hidden_dim,
     in the order ``DualBranchModel.build`` adds them; allocates nothing.
 
     init is one of ``semantic_context.add_params``'s kinds, or "prior" for
-    the frozen prior-bias table; "embedding" and "prior" are not trainable.
+    the prior-bias table; ``parameter_layout`` says which are trainable.
     """
     input_dim = 3 * feature_dim + 2 * (num_object_classes + 1)
     num_classes = num_predicates + 1
@@ -111,6 +109,12 @@ def parameter_specs(num_object_classes, num_predicates, feature_dim, hidden_dim,
     pairs = num_object_classes + 1
     specs.append(("prior.table", (pairs, pairs, num_classes), "prior"))
     return specs
+
+
+def parameter_layout(specs):
+    """The ``ParamStore`` layout, (name, shape, trainable), of (name, shape,
+    init) specs: parameters of a ``FROZEN_INITS`` kind are frozen."""
+    return [(name, shape, init not in FROZEN_INITS) for name, shape, init in specs]
 
 
 def _check_dims(model, feature_dim, num_object_classes):
@@ -220,44 +224,22 @@ def decode_rows_backward(model, branch, contexts, grad_logits):
     return grad_ctx
 
 
-@dataclass
-class FineBranchResult:
-    """Fine-branch logits before and after context correction."""
-
-    fine_logits: np.ndarray
-    correction: np.ndarray
-    output_logits: np.ndarray
-    gap_loss: float
-
-
-def fine_branch_rows(model, x, subjects, objects, predicates=None):
-    """Inference path, fine decode + context correction, for one image's
-    (n, ·) rows or a (G, n, ·) stack as ``run_inputs`` gives them. The gap
-    loss is computed only when the ground-truth predicates are given."""
+def fine_branch_rows(model, x, subjects, objects):
+    """Inference logits, fine decode + context correction, for one image's
+    (n, ·) rows or a (G, n, ·) stack as ``run_inputs`` gives them."""
     h, _ = extractor_forward(model, x)
     fine = decode_rows(model, "fine", h, subjects, objects)
-    result = semantic_context.context_forward(
-        fine,
-        *label_dists(model, x),
-        model.store,
-        ground_truth=None if predicates is None else (predicates, subjects, objects),
-    )
-    return FineBranchResult(
-        fine_logits=fine,
-        correction=result.correction,
-        output_logits=fine + result.correction,
-        gap_loss=result.gap_loss,
-    )
+    result = semantic_context.context_forward(fine, *label_dists(model, x), model.store)
+    return fine + result.correction
 
 
-def fine_branch_forward(model, image, with_gap=True):
-    """``fine_branch_rows`` for one image's relation table; the gap loss is
-    skipped unless with_gap is true. The library evaluates with
-    ``fine_branch_rows``; the benchmark traces this name."""
+def fine_branch_forward(model, image):
+    """``fine_branch_rows`` for one image's relation table. The library
+    evaluates with ``fine_branch_rows``; the benchmark traces this name."""
     if not len(image):
         raise ValueError("need at least one relation in the image")
-    x, subjects, objects, predicates = (a[0] for a in run_inputs(model, [image]))
-    return fine_branch_rows(model, x, subjects, objects, predicates if with_gap else None)
+    x, subjects, objects, _ = (a[0] for a in run_inputs(model, [image]))
+    return fine_branch_rows(model, x, subjects, objects)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +286,12 @@ def parse_checkpoint(data, name):
     Bytes that end early, run past the last parameter, or are otherwise
     malformed raise one ValueError that names ``name`` (the file). So do
     header dimensions below 1, parameters that differ in name, shape or
-    trainable flag from those ``parameter_specs`` gives for the header's
+    trainable flag from the ``parameter_layout`` of the header's
     dimensions, and non-finite values. Each parameter is compared before
-    its values are read, and the model is built only once all of them
+    its values are read, and the store is allocated only once all of them
     matched, so a corrupted header dimension cannot make it allocate more
-    than the file holds.
+    than the file holds. The values fill the store as they are: no
+    parameter is drawn.
     """
     offset = 0
 
@@ -338,10 +321,8 @@ def parse_checkpoint(data, name):
     for key, value in dims.items():
         if value < 1:
             raise ValueError(f"{name}: header {key} is {value}, must be at least 1")
-    expected = {
-        param: (shape, init not in FROZEN_INITS)
-        for param, shape, init in parameter_specs(**dims)
-    }
+    layout = parameter_layout(parameter_specs(**dims))
+    expected = {param: (shape, trainable) for param, shape, trainable in layout}
     (count,) = unpack("<I")
     loaded = {}
     for _ in range(count):
@@ -378,7 +359,7 @@ def parse_checkpoint(data, name):
             raise ValueError(f"{name}: parameter {param!r} is missing")
         if param not in expected:
             raise ValueError(f"{name}: parameter {param!r} is not part of the model")
-    model = DualBranchModel.build(**dims)
+    store = ParamStore(layout)
     for param, values in loaded.items():
-        model.store[param][...] = values
-    return model
+        store.add(param, values)
+    return DualBranchModel(store, **dims)

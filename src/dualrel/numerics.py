@@ -91,87 +91,77 @@ def glorot_uniform(rng, fan_in, fan_out):
 
 
 class ParamStore:
-    """Named float64 parameters with matching gradient accumulators.
+    """Named float64 parameters, fixed by a layout, with gradient
+    accumulators for the trainable ones.
 
-    Names are unique; gradients always have the shape of their parameter.
-    Trainable and frozen parameters live in two flat arenas, and their
-    gradients in two more: ``store[name]`` and ``store.grad(name)`` are
-    reshaped views into them, so ``sgd_step`` is one update of the
-    trainable arena and ``zero_grads`` one fill per gradient arena. Frozen
-    parameters (embedding tables, the prior-bias table) keep a gradient
-    buffer for uniformity but are skipped by ``sgd_step``.
-
-    ``layout``, (name, shape, trainable) triples, sizes the arenas once;
-    ``add`` then copies each value into its slot. Adding a name the layout
-    does not hold appends a slot, which reallocates that kind's arenas: an
-    array taken from the store before such an ``add`` is no longer a view
-    of it. Single-writer during training: no concurrent mutation.
+    ``layout``, unique (name, shape, trainable) triples, sizes three flat
+    arenas once: trainable parameters, frozen parameters (embedding tables,
+    the prior-bias table) and the trainable parameters' gradients.
+    ``store[name]`` and ``store.grad(name)`` are reshaped views into them,
+    so ``sgd_step`` is one update of the trainable arena and ``zero_grads``
+    one fill. Every parameter starts at zero and ``add`` copies a value into
+    its slot. A frozen parameter has no gradient: ``grad`` and
+    ``accumulate`` reject it. Single-writer during training: no concurrent
+    mutation.
     """
 
-    def __init__(self, layout=()):
-        # name -> (trainable, offset into its arenas, shape)
+    def __init__(self, layout):
+        # name -> (trainable, offset into its arena, shape)
         self._slots = {}
         sizes = {True: 0, False: 0}
         for name, shape, trainable in layout:
+            if name in self._slots:
+                raise ValueError(f"duplicate parameter name {name!r}")
             kind, shape = bool(trainable), tuple(shape)
             self._slots[name] = (kind, sizes[kind], shape)
             sizes[kind] += math.prod(shape)
         self._arenas = {kind: np.zeros(size) for kind, size in sizes.items()}
-        self._grad_arenas = {kind: np.zeros(size) for kind, size in sizes.items()}
-        self._params = {}
-        self._grads = {}
+        self._grad_arena = np.zeros(sizes[True])
+        self._bind()
 
-    def _bind(self, name):
-        kind, offset, shape = self._slots[name]
-        span = slice(offset, offset + math.prod(shape))
-        self._params[name] = self._arenas[kind][span].reshape(shape)
-        self._grads[name] = self._grad_arenas[kind][span].reshape(shape)
+    def _bind(self):
+        self._params, self._grads = {}, {}
+        for name, (kind, offset, shape) in self._slots.items():
+            span = slice(offset, offset + math.prod(shape))
+            self._params[name] = self._arenas[kind][span].reshape(shape)
+            if kind:
+                self._grads[name] = self._grad_arena[span].reshape(shape)
 
-    def add(self, name, value, trainable=True):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        value = as_array(value)
-        kind = bool(trainable)
+    def add(self, name, value):
+        """Copy a value into the slot the layout gives ``name``."""
         if name not in self._slots:
-            self._slots[name] = (kind, self._arenas[kind].size, value.shape)
-            for arenas in (self._arenas, self._grad_arenas):
-                arenas[kind] = np.concatenate([arenas[kind], np.zeros(value.size)])
-            for bound in self._params:
-                if self._slots[bound][0] == kind:
-                    self._bind(bound)
-        else:
-            slot_kind, _, slot_shape = self._slots[name]
-            if (slot_kind, slot_shape) != (kind, value.shape):
-                raise ValueError(
-                    f"parameter {name!r} of shape {value.shape}, trainable={kind} "
-                    f"does not fit its slot of shape {slot_shape}, "
-                    f"trainable={slot_kind}"
-                )
-        self._bind(name)
-        self._params[name][...] = value
-        return self._params[name]
+            raise ValueError(f"parameter {name!r} is not in the store's layout")
+        value = as_array(value)
+        param = self._params[name]
+        if value.shape != param.shape:
+            raise ValueError(
+                f"parameter {name!r} of shape {value.shape} does not fit its "
+                f"slot of shape {param.shape}"
+            )
+        param[...] = value
 
     def __getstate__(self):
         # the views are rebuilt from the arenas, so a copy shares no memory
-        return {"slots": self._slots, "names": list(self._params),
-                "arenas": self._arenas, "grad_arenas": self._grad_arenas}
+        return {"slots": self._slots, "arenas": self._arenas,
+                "grad_arena": self._grad_arena}
 
     def __setstate__(self, state):
         self._slots = state["slots"]
         self._arenas = state["arenas"]
-        self._grad_arenas = state["grad_arenas"]
-        self._params, self._grads = {}, {}
-        for name in state["names"]:
-            self._bind(name)
-
-    def __contains__(self, name):
-        return name in self._params
+        self._grad_arena = state["grad_arena"]
+        self._bind()
 
     def __getitem__(self, name):
         return self._params[name]
 
     def grad(self, name):
-        return self._grads[name]
+        """The gradient buffer of a trainable parameter."""
+        try:
+            return self._grads[name]
+        except KeyError:
+            if name in self._slots:
+                raise ValueError(f"frozen parameter {name!r} has no gradient") from None
+            raise
 
     def is_trainable(self, name):
         return self._slots[name][0]
@@ -180,11 +170,10 @@ class ParamStore:
         return sorted(self._params)
 
     def trainable_names(self):
-        return [n for n in self.names() if self._slots[n][0]]
+        return sorted(self._grads)
 
     def zero_grads(self):
-        for arena in self._grad_arenas.values():
-            arena.fill(0.0)
+        self._grad_arena.fill(0.0)
 
     def accumulate(self, name, grad):
         """Add a gradient, or a (G, ...) stack of gradients one at a time.
@@ -193,7 +182,7 @@ class ParamStore:
         separate calls would leave. (``np.add.reduce`` over the stack does
         not: for a one-element parameter and G >= 8 it sums pairwise.)
         """
-        buf = self._grads[name]
+        buf = self.grad(name)
         shape = np.shape(grad)
         if shape == buf.shape:
             buf += grad
@@ -207,7 +196,7 @@ class ParamStore:
             )
 
     def sgd_step(self, learning_rate):
-        self._arenas[True] -= learning_rate * self._grad_arenas[True]
+        self._arenas[True] -= learning_rate * self._grad_arena
 
 
 # grad_check: a central difference that misses the analytic value by more

@@ -17,9 +17,10 @@ head is deliberately zero-initialized so corrections start at exactly zero
 and grow only as the head is trained.
 
 The squared distance between the predicted and ground-truth contextual
-global tokens is the semantic-gap loss; the ground-truth side runs through
-the same parameters but is treated as a constant (no gradient flows
-through it). Its triplet rows are T_s[s] + T_p[p] + T_o[o], the
+global tokens is the semantic-gap loss. The ground-truth token
+(``target_global_token``) runs through the same parameters, but the caller
+forms it and passes it to ``context_forward`` as a constant target: no
+gradient flows through it. Its triplet rows are T_s[s] + T_p[p] + T_o[o], the
 class-table rows of the ground-truth classes added in the same order, so
 an exact one-hot prediction gives the target's bits.
 
@@ -87,7 +88,8 @@ def add_params(store, specs, rng):
     """Add (name, shape, init) specs to the store in order, drawing from rng.
 
     init "glorot" is a uniform Glorot matrix, "zeros" all zeros, and
-    "embedding" a frozen table of unit-norm standard-normal rows.
+    "embedding" a table of unit-norm standard-normal rows (frozen, see
+    ``model.parameter_layout``). The store's layout must hold every name.
     """
     for name, shape, init in specs:
         if init == "glorot":
@@ -97,7 +99,7 @@ def add_params(store, specs, rng):
         else:
             table = rng.standard_normal(shape)
             table /= np.linalg.norm(table, axis=1, keepdims=True)
-            store.add(name, table, trainable=False)
+            store.add(name, table)
 
 
 def triplet_semantics_rows(pred_dists, subj_dists, obj_dists, store):
@@ -259,7 +261,6 @@ class ContextResult:
     correction: np.ndarray
     gap_loss: float
     predicted_global: np.ndarray
-    target_global: np.ndarray
     cache: dict
 
 
@@ -276,27 +277,16 @@ def target_global_token(gt_predicates, gt_subjects, gt_objects, store):
     return encoded[..., -1, :]
 
 
-def context_forward(fine_logits, subj_dists, obj_dists, store, ground_truth=None,
-                    frozen_target=None):
+def context_forward(fine_logits, subj_dists, obj_dists, store, target=None):
     """Predicted-path forward: corrections for every relation plus gap loss.
 
-    fine_logits is one image's (n, C) matrix or a (G, n, C) stack, with the
-    label distributions and ground truth shaped to match. ground_truth is
-    an optional (gt_predicates, gt_subjects, gt_objects) triple; when
-    absent (inference) the gap loss is 0. frozen_target bypasses the
-    ground-truth recomputation with a precomputed constant token (a (G, d)
-    stack for a stack), which is also how the gradient checks freeze the
-    target.
+    fine_logits is one image's (n, C) matrix, n >= 1, or a (G, n, C) stack,
+    with the label distributions shaped to match. target is the constant
+    the predicted global token is compared with: the (d,) token of
+    ``target_global_token``, or a (G, d) stack of them. Without a target
+    (inference) the gap loss is 0.
     """
     n = fine_logits.shape[-2]
-    if n == 0:
-        return ContextResult(
-            correction=np.zeros_like(fine_logits),
-            gap_loss=0.0,
-            predicted_global=np.zeros(0),
-            target_global=np.zeros(0),
-            cache={},
-        )
     probs = softmax(fine_logits, axis=-1)
     rows, triplet_cache = triplet_semantics_rows(probs, subj_dists, obj_dists, store)
     encoded, enc_cache = encode_context(_with_global_token(rows), store)
@@ -305,20 +295,10 @@ def context_forward(fine_logits, subj_dists, obj_dists, store, ground_truth=None
         store["context.classifier.b"],
     )
     predicted_global = encoded[..., n, :]
-
-    if frozen_target is not None:
-        target = np.asarray(frozen_target, dtype=np.float64)
-    elif ground_truth is not None:
-        target = target_global_token(*ground_truth, store)
-    else:
-        target = None
-
     if target is None:
         gap_loss, grad_global = 0.0, np.zeros_like(predicted_global)
-        target_out = np.zeros_like(predicted_global)
     else:
         gap_loss, grad_global = semantic_gap_loss(predicted_global, target)
-        target_out = target
     cache = {
         "n": n,
         "probs": probs,
@@ -327,7 +307,7 @@ def context_forward(fine_logits, subj_dists, obj_dists, store, ground_truth=None
         "enc_cache": enc_cache,
         "grad_global": grad_global,
     }
-    return ContextResult(correction, gap_loss, predicted_global, target_out, cache)
+    return ContextResult(correction, gap_loss, predicted_global, cache)
 
 
 def context_backward(result, grad_correction, grad_gap, store):

@@ -18,13 +18,15 @@ relation count (``model.image_runs``) and runs every layer once per run,
 on (G, n, ·) stacks without padding. Each weight gradient is added to the
 store image by image in batch order and each loss sum in batch order, so a
 step gives the bits of a per-image loop, except along the set encoder's
-projection backward (see ``semantic_context``). Evaluation stacks the same
-way: each run of equal-size test images makes one fine-branch forward
-(``model.fine_branch_rows``), with the bits of one forward per image.
+projection backward (see ``semantic_context``). With context on, each run's
+gap target is the ground truth's global token from
+``semantic_context.target_global_token``, passed to ``context_forward`` as
+a constant. Evaluation stacks the same way: each run of equal-size test
+images makes one fine-branch forward (``model.fine_branch_rows``, which
+returns the output logits), with the bits of one forward per image.
 """
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .losses import (
     hybrid_loss,
     total_loss,
 )
-from .metrics import DEFAULT_KS, TripleTable, compute_report
+from .metrics import DEFAULT_KS, TripleTable, check_ks, compute_report
 from .model import (
     decode_rows,
     decode_rows_backward,
@@ -51,7 +53,7 @@ from .model import (
 )
 from .numerics import ConfigurationError, softmax
 from .schedules import ScheduleConfig, branch_weight, head_predicate_weight
-from .semantic_context import context_backward, context_forward
+from .semantic_context import context_backward, context_forward, target_global_token
 
 LOG_FORMAT_VERSION = 1
 
@@ -85,7 +87,6 @@ class TrainConfig:
     disable_context: bool = False
     disable_distillation: bool = False
     coarse_only: bool = False
-    distill_after_k1: bool = False
     log_every: int = 1
     eval_every: int = 0
     eval_ks: tuple = DEFAULT_KS
@@ -104,16 +105,10 @@ class TrainConfig:
         for name in ("eval_every", "seed"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
-        ks = self.eval_ks
-        if not (
-            isinstance(ks, (tuple, list)) and ks
-            and all(isinstance(k, Integral) and not isinstance(k, bool) and k >= 1
-                    for k in ks)
-            and len(set(ks)) == len(ks)
-        ):
-            raise ConfigurationError(
-                f"eval_ks must be distinct integers of at least 1, got {ks!r}"
-            )
+        try:
+            check_ks(self.eval_ks)
+        except ValueError as exc:
+            raise ConfigurationError(f"eval_ks: {exc}") from None
 
     @property
     def total_iterations(self):
@@ -196,17 +191,11 @@ def batch_forward_backward(model, batch, ctx):
         if ctx.disable_context:
             output = fine
         else:
-            frozen = (
+            target = (
                 np.stack(ctx.frozen_targets[start:stop]) if ctx.frozen_targets
-                else None
+                else target_global_token(labels, subjects, objects, store)
             )
-            result = context_forward(
-                fine,
-                *label_dists(model, x),
-                store,
-                ground_truth=(labels, subjects, objects),
-                frozen_target=frozen,
-            )
+            result = context_forward(fine, *label_dists(model, x), store, target)
             output = fine + result.correction
             for gap in result.gap_loss.tolist():
                 sc_sum += gap
@@ -264,6 +253,7 @@ def _constant_context(cfg, vocab):
         disable_curriculum=cfg.disable_curriculum,
         disable_context=cfg.disable_context,
         coarse_only=cfg.coarse_only,
+        distillation_on=not (cfg.disable_distillation or cfg.coarse_only),
     )
 
 
@@ -276,11 +266,6 @@ def _make_context(cfg, constants, k, batch):
         lambda_head=head_predicate_weight(k, True, sched),
         n_relations=sum(len(image) for image in batch),
         n_images=len(batch),
-        distillation_on=not (
-            cfg.disable_distillation
-            or cfg.coarse_only
-            or (cfg.distill_after_k1 and k <= sched.k1)
-        ),
     )
 
 
@@ -363,7 +348,7 @@ def predictions_for_images(model, images):
     scores = []
     for start, stop in image_runs(images):
         x, subjects, objects, _ = run_inputs(model, images[start:stop])
-        logits = fine_branch_rows(model, x, subjects, objects).output_logits
+        logits = fine_branch_rows(model, x, subjects, objects)
         scores.append(softmax(logits, axis=-1)[..., 1:].ravel())
     n_pred = model.num_predicates
     ids = np.concatenate([image.ids[:, :3] for image in images])

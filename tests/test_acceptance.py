@@ -16,7 +16,6 @@ from dualrel.datagen import (
     GeneratorConfig,
     build_prior_bias,
     generate_dataset,
-    group_split,
     relations_by_image,
 )
 from dualrel.losses import (
@@ -33,6 +32,7 @@ from dualrel.model import (
     extractor_backward,
     extractor_forward,
     instance_matrix,
+    parameter_layout,
 )
 from dualrel.numerics import ParamStore, grad_check
 from dualrel.schedules import (
@@ -108,7 +108,7 @@ def random_distributions(rng, n, width):
 
 def logits_check(rng, rows_op, dim):
     """grad_check of a loss rows op on one (1, dim) logit row."""
-    store = ParamStore()
+    store = ParamStore([("z", (1, dim), True)])
     store.add("z", rng.normal(size=(1, dim)) * 2.0)
 
     def fn(s):
@@ -123,9 +123,9 @@ def context_path_check(seed):
     n_pred, n_obj, dim = 6, 5, 16
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
-    store = ParamStore()
-    add_params(store, context_param_specs(n_pred, dim) + embedding_specs(n_pred, n_obj),
-               rng)
+    specs = context_param_specs(n_pred, dim) + embedding_specs(n_pred, n_obj)
+    store = ParamStore(parameter_layout(specs) + [("fine_logits", (n, n_pred + 1), True)])
+    add_params(store, specs, rng)
     w = store["context.classifier.w"]
     w += rng.normal(size=w.shape) * 0.3
     subj = random_distributions(rng, n, n_obj + 1)
@@ -137,11 +137,10 @@ def context_path_check(seed):
     )
     weight = rng.normal(size=(n, n_pred + 1))
     store.add("fine_logits", rng.normal(size=(n, n_pred + 1)))
-    frozen = target_global_token(*gt, store)
+    target = target_global_token(*gt, store)
 
     def loss(s):
-        result = context_forward(s["fine_logits"], subj, obj, s,
-                                 frozen_target=frozen)
+        result = context_forward(s["fine_logits"], subj, obj, s, target=target)
         value = result.gap_loss + float(np.sum(result.correction * weight))
         s.accumulate("fine_logits", context_backward(result, weight, 1.0, s))
         return value
@@ -233,7 +232,7 @@ def test_criterion_1_gradient_suite():
         )
     for _ in range(3):
         target = rng.normal(size=16)
-        store = ParamStore()
+        store = ParamStore([("s", (16,), True)])
         store.add("s", rng.normal(size=16))
 
         def gap(s):
@@ -302,9 +301,9 @@ def test_criterion_2_schedule_suite():
 def test_criterion_3_permutation_invariance():
     n_pred, n_obj, dim = 8, 6, 24
     rng = np.random.default_rng(77)
-    store = ParamStore()
-    add_params(store, context_param_specs(n_pred, dim) + embedding_specs(n_pred, n_obj),
-               rng)
+    specs = context_param_specs(n_pred, dim) + embedding_specs(n_pred, n_obj)
+    store = ParamStore(parameter_layout(specs))
+    add_params(store, specs, rng)
     w = store["context.classifier.w"]
     w += rng.normal(size=w.shape) * 0.3
     worst_gap = worst_global = worst_rows = 0.0
@@ -319,10 +318,12 @@ def test_criterion_3_permutation_invariance():
             rng.integers(1, n_obj + 1, size=n),
         )
         perm = rng.permutation(n)
-        base = context_forward(fine, subj, obj, store, ground_truth=gt)
+        base = context_forward(
+            fine, subj, obj, store, target=target_global_token(*gt, store)
+        )
         moved = context_forward(
             fine[perm], subj[perm], obj[perm], store,
-            ground_truth=(gt[0][perm], gt[1][perm], gt[2][perm]),
+            target=target_global_token(gt[0][perm], gt[1][perm], gt[2][perm], store),
         )
         worst_gap = max(worst_gap, abs(moved.gap_loss - base.gap_loss))
         worst_global = max(

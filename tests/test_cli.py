@@ -242,8 +242,7 @@ class TestConfigParsing:
         assert set(config.TRAIN_KEYS) == {
             "tau", "mu", "beta_en", "learning_rate", "batch_size", "hidden_dim",
             "context_dim", "seed", "disable_curriculum", "disable_context",
-            "disable_distillation", "coarse_only", "distill_after_k1",
-            "log_every", "eval_every",
+            "disable_distillation", "coarse_only", "log_every", "eval_every",
         }
 
     @pytest.mark.parametrize("line", ["eval_ks=5,10", "schedule=linear"])

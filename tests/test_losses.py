@@ -18,8 +18,9 @@ from test_numerics import logit_arrays, reference_log_softmax
 def logits_grad_check(rows_op, z0, tol=1e-4):
     """Finite-difference check of a rows op's (losses, grads) on one (1, C)
     logit row."""
-    store = ParamStore()
-    store.add("z", np.array(z0, dtype=np.float64))
+    z0 = np.array(z0, dtype=np.float64)
+    store = ParamStore([("z", z0.shape, True)])
+    store.add("z", z0)
 
     def fn(s):
         losses, grads = rows_op(s["z"])

@@ -240,6 +240,24 @@ def test_compute_report_identity_and_monotonicity():
     assert report.mr_at_k[1] <= report.mr_at_k[3] <= report.mr_at_k[9]
 
 
+@pytest.mark.parametrize("ks", [(), [], (5, 5), (20, 5, 20), (0,), (5, -1), (2.5,),
+                                (True,), 20], ids=repr)
+def test_compute_report_rejects_ks_outside_the_k_rule(ks):
+    # the rule: a non-empty sequence of distinct integers of at least 1
+    preds, gts, n_classes, _, _ = random_instance(np.random.default_rng(7))
+    with pytest.raises(ValueError, match="K"):
+        compute_report(preds, gts, n_classes, ([1], [], []), ks)
+
+
+@pytest.mark.parametrize("k", [0, 2.5, True])
+def test_single_k_recalls_follow_the_k_rule(k):
+    preds, gts, n_classes, _, _ = random_instance(np.random.default_rng(7))
+    with pytest.raises(ValueError, match="K"):
+        recall_at_k(preds, gts, k)
+    with pytest.raises(ValueError, match="K"):
+        mean_recall_at_k(preds, gts, k, n_classes)
+
+
 @st.composite
 def tied_instances(draw):
     """Several images whose predictions take one of two scores and repeat
@@ -261,7 +279,7 @@ def tied_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_instances(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
+@given(tied_instances(), st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True))
 def test_array_ranking_matches_brute_force_matcher(instance, ks):
     pred_rows, gt_rows, n_classes = instance
     gt_counts = {}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dualrel.numerics import ParamStore, grad_check, softmax
+from dualrel.model import parameter_layout
+from dualrel.numerics import ParamStore, grad_check
 from dualrel.semantic_context import (
     EMBED_DIM,
     add_params,
@@ -23,11 +24,13 @@ N_OBJ = 5
 DIM = 16
 
 
-def make_store(seed=0, context_dim=DIM, randomize_classifier=False):
+def make_store(seed=0, context_dim=DIM, randomize_classifier=False, extra=()):
+    """The context parameters and embeddings, drawn from seed, plus the
+    zeroed (name, shape, trainable) slots of ``extra``."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    add_params(store, context_param_specs(N_PRED, context_dim)
-               + embedding_specs(N_PRED, N_OBJ), rng)
+    specs = context_param_specs(N_PRED, context_dim) + embedding_specs(N_PRED, N_OBJ)
+    store = ParamStore(parameter_layout(specs) + list(extra))
+    add_params(store, specs, rng)
     if randomize_classifier:
         w = store["context.classifier.w"]
         w += rng.normal(size=w.shape) * 0.3
@@ -194,7 +197,7 @@ class TestEncodeContext:
         rng = np.random.default_rng(seed)
         x0 = rng.normal(size=(4, DIM))
         weight = rng.normal(size=(4, DIM))
-        store = make_store(seed + 100)
+        store = make_store(seed + 100, extra=[("x", x0.shape, True)])
         store.add("x", x0)
 
         def loss(s):
@@ -220,7 +223,7 @@ class TestSemanticGap:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         target = rng.normal(size=DIM)
-        store = ParamStore()
+        store = ParamStore([("s", (DIM,), True)])
         store.add("s", rng.normal(size=DIM))
 
         def loss(s):
@@ -240,7 +243,9 @@ class TestContextForward:
         store = make_store(16)  # classifier is zero-initialized
         rng = np.random.default_rng(17)
         fine, subj, obj, gt = random_inputs(rng, 4)
-        result = context_forward(fine, subj, obj, store, ground_truth=gt)
+        result = context_forward(
+            fine, subj, obj, store, target=target_global_token(*gt, store)
+        )
         np.testing.assert_array_equal(result.correction, 0.0)
 
     @pytest.mark.parametrize("shape", [(3,), (3, 4)], ids=["image", "stack"])
@@ -254,9 +259,8 @@ class TestContextForward:
         fine = one_hot(gt_preds, N_PRED + 1) * 1000.0 - 500.0
         subj = one_hot(gt_subj, N_OBJ + 1)
         obj = one_hot(gt_obj, N_OBJ + 1)
-        result = context_forward(
-            fine, subj, obj, store, ground_truth=(gt_preds, gt_subj, gt_obj)
-        )
+        target = target_global_token(gt_preds, gt_subj, gt_obj, store)
+        result = context_forward(fine, subj, obj, store, target=target)
         np.testing.assert_array_equal(result.gap_loss, 0.0)
 
     def test_permutation_moves_rows_and_preserves_gap(self):
@@ -264,11 +268,13 @@ class TestContextForward:
         rng = np.random.default_rng(21)
         n = 5
         fine, subj, obj, gt = random_inputs(rng, n)
-        result = context_forward(fine, subj, obj, store, ground_truth=gt)
+        result = context_forward(
+            fine, subj, obj, store, target=target_global_token(*gt, store)
+        )
         perm = rng.permutation(n)
         result_p = context_forward(
             fine[perm], subj[perm], obj[perm], store,
-            ground_truth=(gt[0][perm], gt[1][perm], gt[2][perm]),
+            target=target_global_token(gt[0][perm], gt[1][perm], gt[2][perm], store),
         )
         np.testing.assert_allclose(
             result_p.correction, result.correction[perm], atol=1e-10
@@ -281,8 +287,9 @@ class TestContextForward:
         fine, subj, obj, gt = random_inputs(rng, 4)
         shifted = fine.copy()
         shifted[2] += 7.5
-        a = context_forward(fine, subj, obj, store, ground_truth=gt)
-        b = context_forward(shifted, subj, obj, store, ground_truth=gt)
+        target = target_global_token(*gt, store)
+        a = context_forward(fine, subj, obj, store, target=target)
+        b = context_forward(shifted, subj, obj, store, target=target)
         np.testing.assert_allclose(b.correction, a.correction, atol=1e-10)
 
     def test_inference_without_ground_truth(self):
@@ -293,23 +300,15 @@ class TestContextForward:
         assert result.gap_loss == 0.0
         assert result.correction.shape == fine.shape
 
-    def test_empty_image_skipped(self):
-        store = make_store(26)
-        result = context_forward(
-            np.zeros((0, N_PRED + 1)), np.zeros((0, N_OBJ + 1)),
-            np.zeros((0, N_OBJ + 1)), store,
-        )
-        assert result.gap_loss == 0.0
-        assert result.correction.shape == (0, N_PRED + 1)
-
     def test_gap_nonnegative_and_zero_iff_globals_match(self):
         store = make_store(27, randomize_classifier=True)
         rng = np.random.default_rng(28)
         for _ in range(20):
             fine, subj, obj, gt = random_inputs(rng, 3)
-            result = context_forward(fine, subj, obj, store, ground_truth=gt)
+            target = target_global_token(*gt, store)
+            result = context_forward(fine, subj, obj, store, target=target)
             assert result.gap_loss >= 0.0
-            gap = np.sum((result.predicted_global - result.target_global) ** 2)
+            gap = np.sum((result.predicted_global - target) ** 2)
             assert (result.gap_loss == 0.0) == (gap == 0.0)
 
 
@@ -321,14 +320,13 @@ class TestEndToEndGradients:
         n = 3
         fine0, subj, obj, gt = random_inputs(rng, n, logits_scale=1.0)
         weight = rng.normal(size=(n, N_PRED + 1))
-        store = make_store(30, randomize_classifier=True)
+        store = make_store(30, randomize_classifier=True,
+                           extra=[("fine_logits", fine0.shape, True)])
         store.add("fine_logits", fine0)
-        frozen = target_global_token(*gt, store)
+        target = target_global_token(*gt, store)
 
         def loss(s):
-            result = context_forward(
-                s["fine_logits"], subj, obj, s, frozen_target=frozen
-            )
+            result = context_forward(s["fine_logits"], subj, obj, s, target=target)
             value = result.gap_loss + float(np.sum(result.correction * weight))
             grad_fine = context_backward(result, weight, 1.0, s)
             s.accumulate("fine_logits", grad_fine)
@@ -361,18 +359,19 @@ class TestStacks:
     def test_context_forward(self):
         store = make_store(44, randomize_classifier=True)
         fine, subj, obj, gt = stacked_inputs(np.random.default_rng(45), 3, 4)
-        result = context_forward(fine, subj, obj, store, ground_truth=gt)
+        result = context_forward(
+            fine, subj, obj, store, target=target_global_token(*gt, store)
+        )
         assert result.gap_loss.shape == (3,)
         for g in range(3):
             single = context_forward(
                 fine[g], subj[g], obj[g], store,
-                ground_truth=tuple(part[g] for part in gt),
+                target=target_global_token(*(part[g] for part in gt), store),
             )
             np.testing.assert_array_equal(result.correction[g], single.correction)
             np.testing.assert_array_equal(
                 result.predicted_global[g], single.predicted_global
             )
-            np.testing.assert_array_equal(result.target_global[g], single.target_global)
             assert result.gap_loss[g] == single.gap_loss
 
 
@@ -425,14 +424,13 @@ class TestClassSpaceProjection:
         rng = np.random.default_rng(54)
         fine0, subj, obj, gt = stacked_inputs(rng, 3, 3)
         weight = rng.normal(size=fine0.shape)
-        store = make_store(55, randomize_classifier=True)
+        store = make_store(55, randomize_classifier=True,
+                           extra=[("fine_logits", fine0.shape, True)])
         store.add("fine_logits", fine0 * 0.5)
-        frozen = target_global_token(*gt, store)
+        target = target_global_token(*gt, store)
 
         def loss(s):
-            result = context_forward(
-                s["fine_logits"], subj, obj, s, frozen_target=frozen
-            )
+            result = context_forward(s["fine_logits"], subj, obj, s, target=target)
             value = float(np.sum(result.gap_loss)) + float(
                 np.sum(result.correction * weight)
             )

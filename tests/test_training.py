@@ -20,7 +20,14 @@ from dualrel.metrics import (
     group_mean_recall,
     mean_at_k,
 )
-from dualrel.model import DualBranchModel, fine_branch_forward, save_checkpoint
+from dualrel.model import (
+    DualBranchModel,
+    decode_rows,
+    extractor_forward,
+    fine_branch_forward,
+    run_inputs,
+    save_checkpoint,
+)
 from dualrel.numerics import ConfigurationError, grad_check, softmax
 from dualrel.schedules import ScheduleConfig
 from dualrel.semantic_context import target_global_token
@@ -334,17 +341,6 @@ class TestTrainLoop:
         assert err.value.iteration >= 1
         assert err.value.component.startswith("l_")
 
-    def test_distill_after_k1_defers_distillation(self, dataset):
-        vocab, train_split, _ = dataset
-        cfg = small_config(distill_after_k1=True)
-        model = build_model(dataset, cfg)
-        log = train(cfg, vocab, train_split, model)
-        for entry in log.entries:
-            if entry.iteration <= SCHED.k1:
-                assert entry.breakdown.l_kd == 0.0
-            else:
-                assert entry.breakdown.l_kd > 0.0
-
 
 class TestEvaluate:
     def test_deterministic(self, dataset):
@@ -386,9 +382,7 @@ def object_and_sort_report(model, test_split, vocab, ks):
     ground truths (image, subject, object, predicate) tuples."""
     preds = []
     for image in relations_by_image(test_split):
-        probs = softmax(
-            fine_branch_forward(model, image, with_gap=False).output_logits, axis=1
-        )
+        probs = softmax(fine_branch_forward(model, image), axis=1)
         for inst, row in zip(image, probs):
             for predicate in range(1, model.num_predicates + 1):
                 preds.append((inst.image_id, inst.subject_class, inst.object_class,
@@ -444,10 +438,18 @@ def test_stacked_eval_matches_one_forward_per_image(dataset):
     images = relations_by_image(test_split)
     images[1] = images[1][:-1]  # runs of 1, 1 and 10 images
     assert [len(image) for image in images[:3]] == [4, 3, 4]
-    per_image = [fine_branch_forward(model, image, with_gap=False) for image in images]
-    assert min(np.abs(result.correction).max() for result in per_image) > 0
+    per_image = [fine_branch_forward(model, image) for image in images]
+
+    def fine_logits(image):
+        x, subjects, objects, _ = (a[0] for a in run_inputs(model, [image]))
+        return decode_rows(model, "fine", extractor_forward(model, x)[0], subjects, objects)
+
+    # every image gets a nonzero context correction
+    assert min(
+        np.abs(logits - fine_logits(image)).max() for logits, image in zip(per_image, images)
+    ) > 0
     expected = np.concatenate(
-        [softmax(result.output_logits, axis=1)[:, 1:].ravel() for result in per_image]
+        [softmax(logits, axis=1)[:, 1:].ravel() for logits in per_image]
     )
     np.testing.assert_array_equal(predictions_for_images(model, images).score, expected)
 
