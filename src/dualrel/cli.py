@@ -29,7 +29,7 @@ from .metrics import (
     per_predicate_table,
     recall_cell,
 )
-from .model import DualBranchModel, load_checkpoint, save_checkpoint
+from .model import DualBranchModel, check_fit, load_checkpoint, save_checkpoint
 from .training import evaluate, parse_log, train, write_log
 
 
@@ -65,7 +65,7 @@ def _build_parser():
 def _cmd_generate(args):
     cfg = config_mod.generator_config_from(config_mod.parse_kv_file(args.config))
     vocab, train_split, test_split = generate_dataset(cfg)
-    save_dataset(args.out, cfg, vocab, train_split, test_split)
+    save_dataset(args.out, vocab, train_split, test_split)
     counts = vocab.train_counts
     print(
         f"wrote {len(train_split)} train / {len(test_split)} test relations, "
@@ -77,12 +77,12 @@ def _cmd_generate(args):
 
 def _cmd_train(args):
     cfg = config_mod.train_config_from(config_mod.parse_kv_file(args.config))
-    vocab, train_split, test_split, n_obj, feature_dim = load_dataset(args.data)
+    vocab, train_split, test_split = load_dataset(args.data)
     prior = build_prior_bias(train_split, vocab)
     model = DualBranchModel.build(
-        num_object_classes=n_obj,
+        num_object_classes=train_split.num_object_classes,
         num_predicates=vocab.num_predicates,
-        feature_dim=feature_dim,
+        feature_dim=train_split.feature_dim,
         hidden_dim=cfg.hidden_dim,
         context_dim=cfg.context_dim,
         prior_table=prior.table,
@@ -95,7 +95,7 @@ def _cmd_train(args):
     final = log.eval_snapshots[-1][1]
     k = final.ks[0]
     print(
-        f"trained {cfg.total_iterations} iterations; final "
+        f"trained {cfg.schedule.total_iterations} iterations; final "
         f"r@{k}={final.r_at_k[k]:.4f} mr@{k}={final.mr_at_k[k]:.4f}; "
         f"artifacts in {args.out}"
     )
@@ -125,14 +125,11 @@ def _cmd_eval(args):
     # eval scores the test split only: train.txt is not read
     vocab = load_vocabulary(os.path.join(args.data, "vocab.txt"))
     test_split = load_split(args.data, "test.txt", vocab)
-    for key, value in (("num_predicates", vocab.num_predicates),
-                       ("num_object_classes", test_split.num_object_classes),
-                       ("feature_dim", test_split.feature_dim)):
-        if getattr(model, key) != value:
-            raise ValueError(
-                f"{args.checkpoint}: the model's {key} is {getattr(model, key)}, "
-                f"but the dataset {args.data} has {value}"
-            )
+    try:
+        check_fit(model, vocab, test_split)
+    except ValueError as exc:
+        raise ValueError(f"{args.checkpoint} does not fit the dataset {args.data}: "
+                         f"{exc}") from None
     report = evaluate(model, test_split, vocab, ks)
     with open_atomic(args.out) as fh:
         fh.write(format_report(report, vocab))

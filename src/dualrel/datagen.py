@@ -13,6 +13,9 @@ Relations are grouped into synthetic images of a fixed size so the context
 encoder sees coherent relation sets, and each image's subject-object pairs
 are drawn from per-head-group canonical pairs, which gives the frequency
 prior the same head-favoring shape it has on real scene-graph data.
+
+A relation row's layout is stated once, by ``feature_widths``. A relation
+file's header records its table's own num_object_classes and feature_dim.
 """
 
 import contextlib
@@ -40,6 +43,12 @@ LABEL_DIST_TOLERANCE = 1e-6
 PRIOR_EPSILON = 1e-3
 
 
+def feature_widths(num_object_classes, feature_dim):
+    """The FEATURE_FIELDS' widths: three features, then two label
+    distributions over the object classes and background."""
+    return (feature_dim,) * 3 + (num_object_classes + 1,) * 2
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     num_object_classes: int = 16
@@ -61,28 +70,32 @@ class GeneratorConfig:
         return self.num_head_predicates * (1 + self.tails_per_head)
 
     def __post_init__(self):
-        if self.num_head_predicates < 1:
+        # each check is written so that NaN fails it
+        if not self.num_head_predicates >= 1:
             raise ConfigurationError("need at least one head predicate")
         # before the num_train check: num_predicates is not positive here
-        if self.tails_per_head < 0:
+        if not self.tails_per_head >= 0:
             raise ConfigurationError("tails_per_head must be nonnegative")
-        if self.feature_dim < 4:
+        if not self.feature_dim >= 4:
             raise ConfigurationError("feature_dim must be at least 4")
-        if self.num_train < self.num_predicates:
+        if not self.num_train >= self.num_predicates:
             raise ConfigurationError(
                 "num_train must be at least the number of predicates"
             )
-        if self.zipf_exponent <= 0:
+        if not self.zipf_exponent > 0:
             raise ConfigurationError("zipf_exponent must be positive")
-        if self.num_object_classes < 2:
+        for name in ("tail_offset_scale", "noise_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and nonnegative")
+        if not self.num_object_classes >= 2:
             raise ConfigurationError("need at least two object classes")
-        if self.relations_per_image < 1:
+        if not self.relations_per_image >= 1:
             raise ConfigurationError("relations_per_image must be positive")
         if not 0.0 <= self.pair_concentration <= 1.0:
             raise ConfigurationError("pair_concentration must lie in [0, 1]")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigurationError("label_noise must lie in [0, 1)")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ConfigurationError("seed must be nonnegative")
 
 
@@ -133,7 +146,7 @@ class RelationTable:
     """A split, one row per relation, as two arrays.
 
     ``ids`` is the (N, 4) int64 array of the ID_FIELDS. ``x`` holds the
-    C-contiguous (N, 3d + 2(n_obj + 1)) float64 rows of the FEATURE_FIELDS:
+    C-contiguous float64 rows of the FEATURE_FIELDS (``feature_widths``):
     both the extractor input and a relation file's columns after the ids.
     An int index gives a row view (a RelationInstance), a slice a table view.
     """
@@ -149,8 +162,8 @@ class RelationTable:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return replace(self, ids=self.ids[index], x=self.x[index])
-        d, width = self.feature_dim, self.num_object_classes + 1
-        fields = np.split(self.x[index], [d, 2 * d, 3 * d, 3 * d + width])
+        widths = feature_widths(self.num_object_classes, self.feature_dim)
+        fields = np.split(self.x[index], np.cumsum(widths[:-1]))
         return RelationInstance(*self.ids[index].tolist(), *fields)
 
 
@@ -281,11 +294,12 @@ def generate_dataset(cfg):
         """
         predicates = np.repeat(np.arange(1, n_pred + 1), per_predicate)
         parents = vocab.parent_of[predicates]
-        n, w = len(predicates), n_obj + 1
+        n, widths = len(predicates), feature_widths(n_obj, d)
+        features = sum(widths[:3])  # the label distributions follow
         pairs = []
-        x = np.empty((n, 3 * d + 2 * w))
-        for parent, noise, dist_noise in zip(parents.tolist(), x[:, : 3 * d],
-                                             x[:, 3 * d :]):
+        x = np.empty((n, sum(widths)))
+        for parent, noise, dist_noise in zip(parents.tolist(), x[:, :features],
+                                             x[:, features:]):
             if rng.random() < cfg.pair_concentration:
                 pairs.append(canonical_pairs[parent])
             else:
@@ -296,14 +310,14 @@ def generate_dataset(cfg):
         ids = np.column_stack([np.array(pairs, dtype=np.int64).reshape(n, 2),
                                predicates])
         # features: anchor + noise_scale * noise, one (n, d) gather at a time
-        x[:, : 3 * d] *= cfg.noise_scale
+        x[:, :features] *= cfg.noise_scale
         for block, (anchors, index) in enumerate(((obj_anchors, ids[:, 0]),
                                                   (obj_anchors, ids[:, 1]),
                                                   (pattern_anchors, predicates))):
             x[:, block * d : (block + 1) * d] += anchors[index]
         # label distributions: (1 - label_noise) * one_hot + label_noise * noise
         # / noise.sum(), where the one-hot's zeros add exact zeros
-        dists = x[:, 3 * d :].reshape(n, 2, w)
+        dists = x[:, features:].reshape(n, 2, widths[3])
         dists /= dists.sum(axis=2, keepdims=True)
         dists *= cfg.label_noise
         dists[np.arange(n)[:, None], [0, 1], ids[:, :2]] += 1.0 - cfg.label_noise
@@ -498,22 +512,13 @@ def load_vocabulary(path):
     )
 
 
-def save_relations(path, table, num_object_classes, num_predicates, feature_dim):
-    """Write a relation file; a header that would not describe the table's
-    rows (its num_object_classes or feature_dim differ from the table's)
-    raises one ValueError naming the file and the field, before anything
-    is written."""
-    for field, value in (("num_object_classes", num_object_classes),
-                         ("feature_dim", feature_dim)):
-        if value != getattr(table, field):
-            raise ValueError(
-                f"{path}: {field} is {value}, but the table's rows have "
-                f"{getattr(table, field)}"
-            )
+def save_relations(path, table, num_predicates):
+    """Write a relation file; its header records the table's own
+    num_object_classes and feature_dim."""
     with open_atomic(path) as fh:
         fh.write(
-            f"relations {DATASET_FORMAT_VERSION} {num_object_classes} "
-            f"{num_predicates} {feature_dim}\n"
+            f"relations {DATASET_FORMAT_VERSION} {table.num_object_classes} "
+            f"{num_predicates} {table.feature_dim}\n"
         )
         # row by row: a whole split as Python floats is far larger than x
         for ids, row in zip(table.ids, table.x):
@@ -526,14 +531,15 @@ def _show(value):
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _check_relations(path, rows, widths, n_obj, n_pred):
-    """Validate a relation file's body matrix, one row per line; widths are
-    those of the FEATURE_FIELDS.
+def _check_relations(path, rows, n_obj, n_pred, d):
+    """Validate a relation file's body matrix, one row per line, against
+    its header's dimensions.
 
     Every failure is one ValueError naming the file, the line (the header
     is line 1; loadtxt skips blank lines, which are not counted) and the
     field of the first bad value.
     """
+    widths = feature_widths(n_obj, d)
     if rows.shape[1] != 4 + sum(widths):
         raise ValueError(
             f"{path}, line 2: expected {4 + sum(widths)} fields, got {rows.shape[1]}"
@@ -561,13 +567,14 @@ def _check_relations(path, rows, widths, n_obj, n_pred):
         first_bad(col, (column < 0) | (column > high), f"in [0, {high}]")
     dist_start = 4 + sum(widths[:3])
     first_bad(dist_start, rows[:, dist_start:] < 0, "nonnegative")
-    for side, start in (("subject_label_dist", dist_start),
-                        ("object_label_dist", dist_start + n_obj + 1)):
-        sums = rows[:, start : start + n_obj + 1].sum(axis=1)
+    start = dist_start
+    for side, width in zip(FEATURE_FIELDS[3:], widths[3:]):
+        sums = rows[:, start : start + width].sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > LABEL_DIST_TOLERANCE)
         if bad.size:
             reject(bad[0], side, f"sums to {float(sums[bad[0]])!r}, must sum to 1 "
                                  f"within {LABEL_DIST_TOLERANCE:g}")
+        start += width
     image_ids = ids[:, 0]
     steps = np.diff(image_ids)
     bad = np.flatnonzero(np.r_[image_ids[:1] != 0, (steps != 0) & (steps != 1)])
@@ -577,7 +584,8 @@ def _check_relations(path, rows, widths, n_obj, n_pred):
 
 
 def load_relations(path):
-    """Returns (table, num_object_classes, num_predicates, feature_dim).
+    """Returns (table, num_predicates); the header's num_object_classes and
+    feature_dim are the table's.
 
     The body is read into one float matrix, validated, and split into the
     table's ids and x. A malformed header or body, bytes that are not UTF-8,
@@ -614,26 +622,19 @@ def load_relations(path):
             raise  # open_text names the line
         except ValueError as exc:
             raise ValueError(f"{path}: malformed relation data: {exc}") from None
-    widths = (d, d, d, n_obj + 1, n_obj + 1)
     if rows.size == 0:
-        rows = rows.reshape(0, 4 + sum(widths))
-    _check_relations(path, rows, widths, n_obj, n_pred)
+        rows = rows.reshape(0, 4 + sum(feature_widths(n_obj, d)))
+    _check_relations(path, rows, n_obj, n_pred, d)
     table = RelationTable(rows[:, :4].astype(np.int64),
                           np.ascontiguousarray(rows[:, 4:]), n_obj, d)
-    return table, n_obj, n_pred, d
+    return table, n_pred
 
 
-def save_dataset(directory, cfg, vocab, train, test):
+def save_dataset(directory, vocab, train, test):
     os.makedirs(directory, exist_ok=True)
     save_vocabulary(os.path.join(directory, "vocab.txt"), vocab)
     for name, split in (("train.txt", train), ("test.txt", test)):
-        save_relations(
-            os.path.join(directory, name),
-            split,
-            cfg.num_object_classes,
-            cfg.num_predicates,
-            cfg.feature_dim,
-        )
+        save_relations(os.path.join(directory, name), split, vocab.num_predicates)
 
 
 def load_split(directory, name, vocab):
@@ -641,7 +642,7 @@ def load_split(directory, name, vocab):
     vocabulary is ``vocab``; a file with no relations, or a header whose
     num_predicates differs from the vocabulary's, raises one ValueError."""
     path = os.path.join(directory, name)
-    table, _, n_pred, _ = load_relations(path)
+    table, n_pred = load_relations(path)
     if not len(table):
         raise ValueError(f"{path}: holds no relations")
     if n_pred != vocab.num_predicates:
@@ -653,11 +654,11 @@ def load_split(directory, name, vocab):
 
 
 def load_dataset(directory):
-    """Returns (vocab, train, test, num_object_classes, feature_dim)."""
+    """Returns (vocab, train, test), two splits of the same dimensions."""
     vocab = load_vocabulary(os.path.join(directory, "vocab.txt"))
     train = load_split(directory, "train.txt", vocab)
     test = load_split(directory, "test.txt", vocab)
     dims = (train.num_object_classes, train.feature_dim)
     if dims != (test.num_object_classes, test.feature_dim):
         raise ValueError(f"{directory}: train.txt and test.txt headers disagree")
-    return vocab, train, test, *dims
+    return vocab, train, test

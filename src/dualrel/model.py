@@ -11,7 +11,9 @@ Every parameter lives in one ``ParamStore`` whose layout
 ``parameter_layout`` derives from ``parameter_specs``: ``build`` draws the
 values, and a checkpoint fills them as stored. Inference
 (``fine_branch_rows``) returns the fine logits plus the set encoder's
-correction.
+correction. ``check_fit`` is the one rule for whether a model fits a
+vocabulary and a relation table; training, evaluation and ``dualrel eval``
+apply it before any layer runs.
 
 The layers take one image's (n, ·) rows or a (G, n, ·) stack of equal-size
 images; one relation is a one-row table. Two one-image forms remain,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semantic_context
-from .datagen import open_atomic
+from .datagen import feature_widths, open_atomic
 from .numerics import (
     ParamStore,
     linear_backward,
@@ -51,12 +53,8 @@ class DualBranchModel:
     context_dim: int
 
     @property
-    def num_classes(self):
-        return self.num_predicates + 1
-
-    @property
     def input_dim(self):
-        return 3 * self.feature_dim + 2 * (self.num_object_classes + 1)
+        return sum(feature_widths(self.num_object_classes, self.feature_dim))
 
     @classmethod
     def build(cls, num_object_classes, num_predicates, feature_dim, hidden_dim,
@@ -91,7 +89,7 @@ def parameter_specs(num_object_classes, num_predicates, feature_dim, hidden_dim,
     init is one of ``semantic_context.add_params``'s kinds, or "prior" for
     the prior-bias table; ``parameter_layout`` says which are trainable.
     """
-    input_dim = 3 * feature_dim + 2 * (num_object_classes + 1)
+    input_dim = sum(feature_widths(num_object_classes, feature_dim))
     num_classes = num_predicates + 1
     specs = [
         ("extractor.l1.w", (input_dim, hidden_dim), "glorot"),
@@ -117,19 +115,23 @@ def parameter_layout(specs):
     return [(name, shape, init not in FROZEN_INITS) for name, shape, init in specs]
 
 
-def _check_dims(model, feature_dim, num_object_classes):
-    dims = (model.feature_dim, model.num_object_classes)
-    if (feature_dim, num_object_classes) != dims:
-        raise ValueError(
-            f"relations of feature dim {feature_dim} and {num_object_classes} object "
-            f"classes do not fit the model's {dims[0]} and {dims[1]}"
-        )
+def check_fit(model, vocab, table):
+    """The fit rule: the model's num_predicates must equal the vocabulary's
+    (vocab None skips it), its num_object_classes and feature_dim the
+    table's. The first that differs raises one ValueError naming it."""
+    data = {"num_object_classes": table, "feature_dim": table}
+    if vocab is not None:
+        data = {"num_predicates": vocab, **data}
+    for field, source in data.items():
+        if getattr(model, field) != getattr(source, field):
+            raise ValueError(f"the model's {field} is {getattr(model, field)}, "
+                             f"but the data have {getattr(source, field)}")
 
 
 def instance_matrix(model, table):
-    """A relation table's extractor input rows, its dims checked (the
+    """The extractor input rows of a table that ``check_fit`` passes (the
     library gathers with ``run_inputs``; the benchmark calls this)."""
-    _check_dims(model, table.feature_dim, table.num_object_classes)
+    check_fit(model, None, table)
     return table.x
 
 
@@ -145,7 +147,6 @@ def image_runs(images):
 def run_inputs(model, images):
     """Inputs of a run of equal-size images (table slices): the (G, n,
     input_dim) extractor input and the (G, n) subject, object, predicate ids."""
-    _check_dims(model, images[0].feature_dim, images[0].num_object_classes)
     ids = np.stack([image.ids for image in images])
     return (np.stack([image.x for image in images]),
             ids[..., 1], ids[..., 2], ids[..., 3])
@@ -154,9 +155,9 @@ def run_inputs(model, images):
 def label_dists(model, x):
     """The subject and object label-distribution columns of extractor input
     rows; ``FEATURE_FIELDS`` puts them last, after the three features."""
-    start = 3 * model.feature_dim
-    stop = start + model.num_object_classes + 1
-    return x[..., start:stop], x[..., stop:]
+    *features, subject, _ = feature_widths(model.num_object_classes, model.feature_dim)
+    stop = sum(features) + subject
+    return x[..., stop - subject : stop], x[..., stop:]
 
 
 def extractor_forward(model, x):
@@ -238,8 +239,8 @@ def fine_branch_forward(model, image):
     evaluates with ``fine_branch_rows``; the benchmark traces this name."""
     if not len(image):
         raise ValueError("need at least one relation in the image")
-    x, subjects, objects, _ = (a[0] for a in run_inputs(model, [image]))
-    return fine_branch_rows(model, x, subjects, objects)
+    x = instance_matrix(model, image)
+    return fine_branch_rows(model, x, image.ids[:, 1], image.ids[:, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ assigned zero weight.
 
 from dataclasses import dataclass
 
+from .numerics import ConfigurationError
+
 SCHEDULE_KINDS = ("linear", "exponential", "parabolic")
 
 
@@ -33,19 +35,20 @@ class ScheduleConfig:
     nu: float = 0.01
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if not (0 < self.k1 < self.k2 <= self.total_iterations):
-            raise ValueError(
+            raise ConfigurationError(
                 "breakpoints must satisfy 0 < k1 < k2 <= total_iterations, got "
                 f"k1={self.k1}, k2={self.k2}, total={self.total_iterations}"
             )
         if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1]")
+            raise ConfigurationError("beta1 and beta2 must lie in [0, 1]")
         if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "exponential" and not (0.0 < self.nu < 1.0):
-            raise ValueError("exponential schedule needs 0 < nu < 1")
-        if self.head_threshold < 0:
-            raise ValueError("head_threshold must be nonnegative")
+            raise ConfigurationError("exponential schedule needs 0 < nu < 1")
+        if not self.head_threshold >= 0:
+            raise ConfigurationError("head_threshold must be nonnegative")
 
 
 def schedule_value(kind, t, total, nu=0.01):

@@ -6,8 +6,10 @@ the context-gap and head-restricted distillation terms, combines them with
 the scheduled branch weight, and takes one plain SGD step. Through
 iteration k1 the branch weight is 1, so the curriculum term carries no
 update and only the coarse branch (plus the gap/distillation terms) train;
-the focus then shifts to the fine branch along the schedule. Inference uses
-the fine branch only.
+the focus then shifts to the fine branch along the schedule, the one
+source of the branch weight (``beta1=1.0`` pins it at 1: with the three
+``disable_*`` flags, the coarse-branch baseline). Inference uses the fine
+branch only.
 
 Everything is deterministic given the config seed: batch sampling draws
 from a dedicated generator stream and gradients accumulate in a fixed
@@ -42,6 +44,7 @@ from .losses import (
 )
 from .metrics import DEFAULT_KS, TripleTable, check_ks, compute_report
 from .model import (
+    check_fit,
     decode_rows,
     decode_rows_backward,
     extractor_backward,
@@ -86,7 +89,6 @@ class TrainConfig:
     disable_curriculum: bool = False
     disable_context: bool = False
     disable_distillation: bool = False
-    coarse_only: bool = False
     log_every: int = 1
     eval_every: int = 0
     eval_ks: tuple = DEFAULT_KS
@@ -109,10 +111,6 @@ class TrainConfig:
             check_ks(self.eval_ks)
         except ValueError as exc:
             raise ConfigurationError(f"eval_ks: {exc}") from None
-
-    @property
-    def total_iterations(self):
-        return self.schedule.total_iterations
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,6 @@ class _BatchContext:
     n_images: int
     disable_curriculum: bool = False
     disable_context: bool = False
-    coarse_only: bool = False
     distillation_on: bool = True
     # test hooks: freeze the constant-treated quantities so finite
     # differences see exactly the function the analytic gradient implements
@@ -180,11 +177,6 @@ def batch_forward_backward(model, batch, ctx):
         for loss in ce_losses.sum(axis=-1).tolist():
             ce_sum += loss
         grad_coarse *= ctx.alpha / ctx.n_relations
-
-        if ctx.coarse_only:
-            grad_h = decode_rows_backward(model, "coarse", h, grad_coarse)
-            extractor_backward(model, ecache, grad_h)
-            continue
 
         fine = decode_rows(model, "fine", h, subjects, objects)
         result = None
@@ -236,8 +228,14 @@ def batch_forward_backward(model, batch, ctx):
 
 
 def _constant_context(cfg, vocab):
-    """The fields of every iteration's _BatchContext that do not change."""
+    """The fields of every iteration's _BatchContext that do not change;
+    distillation over fewer than two head predicates is refused here."""
     heads = np.asarray(head_set(vocab, cfg.schedule.head_threshold), dtype=np.int64)
+    if not cfg.disable_distillation and len(heads) < 2:
+        raise ConfigurationError(
+            "distillation needs at least two head predicates; raise or "
+            "lower head_threshold, or disable distillation"
+        )
     head_mask = np.zeros(vocab.num_predicates + 1, dtype=bool)
     head_mask[heads] = True
     return _BatchContext(
@@ -252,8 +250,7 @@ def _constant_context(cfg, vocab):
         n_images=0,
         disable_curriculum=cfg.disable_curriculum,
         disable_context=cfg.disable_context,
-        coarse_only=cfg.coarse_only,
-        distillation_on=not (cfg.disable_distillation or cfg.coarse_only),
+        distillation_on=not cfg.disable_distillation,
     )
 
 
@@ -262,7 +259,7 @@ def _make_context(cfg, constants, k, batch):
     sched = cfg.schedule
     return replace(
         constants,
-        alpha=1.0 if cfg.coarse_only else branch_weight(k, sched),
+        alpha=branch_weight(k, sched),
         lambda_head=head_predicate_weight(k, True, sched),
         n_relations=sum(len(image) for image in batch),
         n_images=len(batch),
@@ -273,19 +270,17 @@ def train(cfg, vocab, train_split, model, eval_instances=None):
     """Run the curriculum loop; mutates the model, returns the TrainLog.
 
     When eval_instances is given, an evaluation snapshot is appended every
-    eval_every iterations (if nonzero) and at the end of training.
+    eval_every iterations (if nonzero) and at the end of training. Both
+    splits must fit the model (``model.check_fit``).
     """
     sched = cfg.schedule
-    if not (cfg.disable_distillation or cfg.coarse_only):
-        if len(head_set(vocab, sched.head_threshold)) < 2:
-            raise ConfigurationError(
-                "distillation needs at least two head predicates; raise or "
-                "lower head_threshold, or disable distillation"
-            )
+    for split in (train_split, eval_instances):
+        if split is not None:
+            check_fit(model, vocab, split)
+    constants = _constant_context(cfg, vocab)
     images = relations_by_image(train_split)
     if not images:
         raise ValueError("training split is empty")
-    constants = _constant_context(cfg, vocab)
     batch_rng = np.random.default_rng([cfg.seed, 1])
     log = TrainLog()
 
@@ -360,7 +355,8 @@ def predictions_for_images(model, images):
 
 
 def evaluate(model, test_split, vocab, ks=DEFAULT_KS):
-    """Fine-branch evaluation report over the test split."""
+    """Fine-branch evaluation report over a test split that fits the model."""
+    check_fit(model, vocab, test_split)
     if not len(test_split):
         raise ValueError("evaluation needs a nonempty test split")
     images = relations_by_image(test_split)

@@ -555,10 +555,12 @@ def test_criterion_7_baseline_equivalence():
     )
     vocab, train_split, _ = generate_dataset(gcfg)
     prior = build_prior_bias(train_split, vocab)
-    sched = ScheduleConfig(k1=15, k2=30, total_iterations=60, head_threshold=10)
+    # beta1=1.0 pins the scheduled branch weight at 1 for every iteration
+    sched = ScheduleConfig(k1=15, k2=30, total_iterations=60, beta1=1.0,
+                           head_threshold=10)
     cfg = TrainConfig(
         schedule=sched, batch_size=4, hidden_dim=12, context_dim=16,
-        learning_rate=0.05, seed=5, coarse_only=True, disable_curriculum=True,
+        learning_rate=0.05, seed=5, disable_curriculum=True,
         disable_context=True, disable_distillation=True,
     )
 

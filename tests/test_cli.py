@@ -242,8 +242,16 @@ class TestConfigParsing:
         assert set(config.TRAIN_KEYS) == {
             "tau", "mu", "beta_en", "learning_rate", "batch_size", "hidden_dim",
             "context_dim", "seed", "disable_curriculum", "disable_context",
-            "disable_distillation", "coarse_only", "log_every", "eval_every",
+            "disable_distillation", "log_every", "eval_every",
         }
+        assert len(config.TRAIN_KEYS) == 13
+
+    def test_coarse_only_is_an_unknown_key(self, tmp_path):
+        # the schedule's beta1=1.0 pins the branch weight instead
+        path = tmp_path / "bad.cfg"
+        path.write_text("coarse_only=true\n")
+        with pytest.raises(ValueError, match="unknown training config key 'coarse_only'"):
+            train_config_from(parse_kv_file(path))
 
     @pytest.mark.parametrize("line", ["eval_ks=5,10", "schedule=linear"])
     def test_non_scalar_fields_are_unknown_keys(self, tmp_path, line):

@@ -74,8 +74,7 @@ def split(request, dataset, tmp_path):
     if request.param == "generated":
         return train
     path = tmp_path / "train.txt"
-    save_relations(path, train, CFG.num_object_classes, CFG.num_predicates,
-                   CFG.feature_dim)
+    save_relations(path, train, CFG.num_predicates)
     return load_relations(path)[0]
 
 
@@ -151,10 +150,10 @@ class TestExtractor:
             x=np.zeros((1, 3 * d + 2 * (CFG.num_object_classes + 1))),
             num_object_classes=CFG.num_object_classes, feature_dim=d,
         )
-        with pytest.raises(ValueError, match="feature dim"):
+        with pytest.raises(ValueError, match="feature_dim"):
             instance_matrix(model, bad)
-        with pytest.raises(ValueError, match="feature dim"):
-            run_inputs(model, [bad])
+        with pytest.raises(ValueError, match="feature_dim"):
+            fine_branch_forward(model, bad)
 
 
 class TestDecode:

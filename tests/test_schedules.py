@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from dualrel.numerics import ConfigurationError
 from dualrel.schedules import (
     SCHEDULE_KINDS,
     ScheduleConfig,
@@ -124,3 +127,17 @@ class TestScheduleConfig:
     def test_exponential_nu_validation(self):
         with pytest.raises(ValueError):
             ScheduleConfig(k1=1, k2=2, total_iterations=4, kind="exponential", nu=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("head_threshold", math.nan),
+        ("head_threshold", -1),
+        ("beta1", math.nan),
+        ("beta2", math.nan),
+        ("nu", math.nan),
+        ("kind", "spline"),
+    ])
+    def test_bad_value_is_a_configuration_error(self, field, value):
+        params = dict(k1=1, k2=2, total_iterations=4, kind="exponential")
+        params[field] = value
+        with pytest.raises(ConfigurationError):
+            ScheduleConfig(**params)

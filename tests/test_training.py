@@ -1,6 +1,7 @@
 import copy
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ def small_config(**overrides):
     )
     params.update(overrides)
     return TrainConfig(**params)
+
+
+def coarse_only_config():
+    """The coarse-branch baseline: beta1=1.0 pins the branch weight at 1 and
+    every fine-side component is off."""
+    return small_config(
+        schedule=replace(SCHED, beta1=1.0), disable_curriculum=True,
+        disable_context=True, disable_distillation=True,
+    )
+
+
+def parameters(model):
+    return {name: model.store[name].copy() for name in model.store.names()}
+
+
+def assert_parameters_equal(model, expected):
+    for name, value in expected.items():
+        np.testing.assert_array_equal(model.store[name], value, err_msg=name)
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +238,6 @@ class TestStackedStep:
     @pytest.mark.parametrize(
         "flags",
         [
-            dict(coarse_only=True),
             dict(disable_context=True),
             dict(disable_context=True, disable_curriculum=True,
                  distillation_on=False),
@@ -284,7 +302,7 @@ class TestTrainLoop:
 
     def test_coarse_only_leaves_fine_side_at_init(self, dataset):
         vocab, train_split, _ = dataset
-        cfg = small_config(coarse_only=True)
+        cfg = coarse_only_config()
         model = build_model(dataset, cfg)
         fine_w0 = model.store["decoder.fine.w"].copy()
         fine_b0 = model.store["decoder.fine.b"].copy()
@@ -305,9 +323,12 @@ class TestTrainLoop:
             ).store["extractor.l1.w"],
         )
         for entry in log.entries:
-            assert entry.breakdown.alpha_used == 1.0
-            assert entry.breakdown.l_crm == 0.0
-            assert entry.breakdown.l_kd == 0.0
+            b = entry.breakdown
+            assert b.alpha_used == 1.0
+            # the fine branch's cross-entropy is logged at zero weight
+            assert b.l_crm > 0.0
+            assert b.l_kd == 0.0 and b.l_sc == 0.0
+            assert b.l_total == b.l_ce
 
     def test_rerun_is_bitwise_identical(self, dataset, tmp_path):
         vocab, train_split, _ = dataset
@@ -328,8 +349,14 @@ class TestTrainLoop:
         )
         cfg = small_config(schedule=sched)
         model = build_model(dataset, cfg)
-        with pytest.raises(ConfigurationError):
+        before = parameters(model)
+        with pytest.raises(ConfigurationError, match="two head predicates"):
             train(cfg, vocab, train_split, model)
+        assert_parameters_equal(model, before)  # refused before any step
+        # without distillation the same head set trains
+        log = train(replace(cfg, disable_distillation=True), vocab, train_split,
+                    model)
+        assert len(log.entries) == sched.total_iterations
 
     def test_divergence_reported_with_iteration(self, dataset):
         vocab, train_split, _ = dataset
@@ -367,12 +394,52 @@ class TestEvaluate:
         # the frozen frequency prior alone should rank abundant predicates
         # above rare ones when the fine decoder is untrained
         vocab, train_split, test_split = dataset
-        cfg = small_config(coarse_only=True)
+        cfg = coarse_only_config()
         model = build_model(dataset, cfg)
         train(cfg, vocab, train_split, model)
         report = evaluate(model, test_split, vocab, ks=(2,))
         many, _, few = report.group_recalls[2]
         assert many > few
+
+
+FIT_FIELDS = ("num_predicates", "num_object_classes", "feature_dim")
+
+
+def model_off_by_one(field):
+    """A model of DATA_CFG's dimensions except ``field``, one larger."""
+    dims = {name: getattr(DATA_CFG, name) for name in FIT_FIELDS}
+    dims[field] += 1
+    return DualBranchModel.build(**dims, hidden_dim=12, context_dim=16, seed=1)
+
+
+class TestFitRule:
+    @pytest.mark.parametrize("field", FIT_FIELDS)
+    def test_train_rejects_a_misfit_model_before_its_first_step(self, dataset, field):
+        vocab, train_split, _ = dataset
+        model = model_off_by_one(field)
+        before = parameters(model)
+        with pytest.raises(ValueError, match=f"model's {field} is"):
+            train(small_config(), vocab, train_split, model)
+        assert_parameters_equal(model, before)
+
+    @pytest.mark.parametrize("field", FIT_FIELDS)
+    def test_evaluate_rejects_a_misfit_model(self, dataset, field):
+        vocab, _, test_split = dataset
+        with pytest.raises(ValueError, match=f"model's {field} is"):
+            evaluate(model_off_by_one(field), test_split, vocab)
+
+    @pytest.mark.parametrize("field", ["num_object_classes", "feature_dim"])
+    def test_misfit_eval_split_is_rejected_before_the_first_step(self, dataset,
+                                                                 field):
+        vocab, train_split, _ = dataset
+        cfg = small_config()
+        model = build_model(dataset, cfg)
+        before = parameters(model)
+        other = replace(DATA_CFG, **{field: getattr(DATA_CFG, field) + 1})
+        _, _, eval_split = generate_dataset(other)
+        with pytest.raises(ValueError, match=f"model's {field} is"):
+            train(cfg, vocab, train_split, model, eval_instances=eval_split)
+        assert_parameters_equal(model, before)
 
 
 def object_and_sort_report(model, test_split, vocab, ks):
