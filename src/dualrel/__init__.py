@@ -68,7 +68,6 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     TrainLog,
-    default_schedule,
     evaluate,
     train,
 )

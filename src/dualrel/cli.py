@@ -30,7 +30,7 @@ from .metrics import (
     recall_cell,
 )
 from .model import DualBranchModel, check_fit, load_checkpoint, save_checkpoint
-from .training import evaluate, parse_log, train, write_log
+from .training import _LOG_RECORDS, evaluate, parse_log, train, write_log
 
 
 def _build_parser():
@@ -149,12 +149,11 @@ def _cmd_report(args):
     if evals:
         lines.append("")
         lines.append("evaluation snapshots")
-        lines.append("iteration\tK\tr\tmr\tm\tmany\tmedium\tfew")
+        positional, keys = _LOG_RECORDS["eval"]
+        lines.append("\t".join(positional + keys))
         for row in evals:
-            cells = [str(row["iteration"]), str(row["K"])]
-            for key in ("r", "mr", "m", "many", "medium", "few"):
-                cells.append(recall_cell(row[key]))
-            lines.append("\t".join(cells))
+            lines.append("\t".join([*(str(row[name]) for name in positional),
+                                    *(recall_cell(row[key]) for key in keys)]))
     if evalpreds:
         last_iter = max(row["iteration"] for row in evalpreds)
         ks = sorted({row["K"] for row in evalpreds if row["iteration"] == last_iter})

@@ -12,7 +12,7 @@ from dataclasses import fields
 
 from .datagen import GeneratorConfig, open_text
 from .schedules import ScheduleConfig
-from .training import TrainConfig, default_schedule
+from .training import TrainConfig
 
 GENERATOR_KEYS, SCHEDULE_KEYS, TRAIN_KEYS = (
     {f.name: f.type for f in fields(cls) if f.type in (int, float, bool, str)}
@@ -72,4 +72,4 @@ def train_config_from(values):
             train_kwargs[key] = _coerce(key, value, TRAIN_KEYS[key])
         else:
             raise ValueError(f"unknown training config key {key!r}")
-    return TrainConfig(schedule=default_schedule(**schedule_kwargs), **train_kwargs)
+    return TrainConfig(schedule=ScheduleConfig(**schedule_kwargs), **train_kwargs)

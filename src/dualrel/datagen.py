@@ -115,16 +115,6 @@ class PredicateVocabulary:
     def num_predicates(self):
         return len(self.names) - 1
 
-    def tail_indices(self):
-        return [
-            i
-            for i in range(1, len(self.names))
-            if self.parent_of[i] != i and self.parent_of[i] > 0
-        ]
-
-    def head_parent_indices(self):
-        return [i for i in range(1, len(self.names)) if self.parent_of[i] == i]
-
 
 @dataclass(frozen=True)
 class RelationInstance:

@@ -19,6 +19,8 @@ from numbers import Integral
 import numpy as np
 
 DEFAULT_KS = (20, 50, 100)
+# the frequency groups of ``datagen.group_split``, in its order
+GROUP_NAMES = ("many", "medium", "few")
 TRIPLE_FIELDS = ("image_id", "subject_class", "object_class", "predicate")
 
 
@@ -38,12 +40,6 @@ class TripleTable:
 
     def __len__(self):
         return len(self.predicate)
-
-    @classmethod
-    def from_rows(cls, rows, score=None):
-        """Table of (image, subject, object, predicate) rows."""
-        ids = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-        return cls(*ids.T, score)
 
 
 def _hits(preds, gts, ks, num_classes):
@@ -219,12 +215,11 @@ def format_report(report, vocab):
     """Text tables: (metric, K, value) rows, then per-predicate recalls
     sorted by descending training frequency."""
     lines = ["metric\tK\tvalue"]
-    group_names = ("many", "medium", "few")
     for k in report.ks:
         lines.append(f"r_at_k\t{k}\t{report.r_at_k[k]:.6f}")
         lines.append(f"mr_at_k\t{k}\t{report.mr_at_k[k]:.6f}")
         lines.append(f"m_at_k\t{k}\t{report.m_at_k[k]:.6f}")
-        for name, value in zip(group_names, report.group_recalls[k]):
+        for name, value in zip(GROUP_NAMES, report.group_recalls[k]):
             lines.append(f"{name}_recall\t{k}\t{recall_cell(value)}")
     lines.append("")
     per_class = [report.per_predicate[k] for k in report.ks]

@@ -52,10 +52,6 @@ class DualBranchModel:
     hidden_dim: int
     context_dim: int
 
-    @property
-    def input_dim(self):
-        return sum(feature_widths(self.num_object_classes, self.feature_dim))
-
     @classmethod
     def build(cls, num_object_classes, num_predicates, feature_dim, hidden_dim,
               context_dim, prior_table=None, seed=0):

@@ -8,6 +8,10 @@ per-predicate head weight, which decays the contribution of abundant
 predicates from ``k1`` to the end of training. Both are floored (beta1,
 beta2) so neither the coarse branch nor the head predicates are ever
 assigned zero weight.
+
+``ScheduleConfig`` is the one source of the schedule's settings: its
+defaults are the desk-scale schedule, and it checks every value, ``nu``
+included, whatever the kind.
 """
 
 from dataclasses import dataclass
@@ -21,13 +25,16 @@ SCHEDULE_KINDS = ("linear", "exponential", "parabolic")
 class ScheduleConfig:
     """Iteration breakpoints and floors for the two curriculum weights.
 
-    head_threshold is the sample-count bound above which a predicate counts
-    as a head predicate.
+    The defaults are the desk-scale schedule: the reference setting of 40k
+    iterations with breakpoints at 10k/20k, scaled down by 10 with all
+    ratios kept. head_threshold is the sample-count bound above which a
+    predicate counts as a head predicate; 52 separates the 16 designed head
+    predicates of the default generator config.
     """
 
-    k1: int
-    k2: int
-    total_iterations: int
+    k1: int = 1000
+    k2: int = 2000
+    total_iterations: int = 4000
     beta1: float = 0.1
     beta2: float = 0.2
     head_threshold: int = 52
@@ -45,8 +52,8 @@ class ScheduleConfig:
             raise ConfigurationError("beta1 and beta2 must lie in [0, 1]")
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "exponential" and not (0.0 < self.nu < 1.0):
-            raise ConfigurationError("exponential schedule needs 0 < nu < 1")
+        if not (0.0 < self.nu < 1.0):
+            raise ConfigurationError("nu must lie in (0, 1)")
         if not self.head_threshold >= 0:
             raise ConfigurationError("head_threshold must be nonnegative")
 

@@ -26,6 +26,11 @@ gap target is the ground truth's global token from
 a constant. Evaluation stacks the same way: each run of equal-size test
 images makes one fine-branch forward (``model.fine_branch_rows``, which
 returns the output logits), with the bits of one forward per image.
+The snapshots taken during training are at ``metrics.DEFAULT_KS``.
+
+``_LOG_RECORDS`` states the fields of each train.log record once;
+``write_log`` and ``parse_log`` follow it, and ``dualrel report`` takes its
+evaluation-snapshot table from it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -42,7 +47,7 @@ from .losses import (
     hybrid_loss,
     total_loss,
 )
-from .metrics import DEFAULT_KS, TripleTable, check_ks, compute_report
+from .metrics import DEFAULT_KS, GROUP_NAMES, TripleTable, compute_report
 from .model import (
     check_fit,
     decode_rows,
@@ -61,23 +66,9 @@ from .semantic_context import context_backward, context_forward, target_global_t
 LOG_FORMAT_VERSION = 1
 
 
-def default_schedule(**overrides):
-    """Desk-scale schedule: 4000 iterations with breakpoints at 1000/2000.
-
-    The reference setting of 40k iterations with breakpoints at 10k/20k is
-    scaled down by 10 with all ratios preserved; the floors (0.1, 0.2)
-    and the linear shape are kept as-is. head_threshold=52 separates the 16
-    designed head predicates of the default generator config. Those floors,
-    shape and threshold are ``ScheduleConfig``'s own defaults.
-    """
-    return ScheduleConfig(
-        **{"k1": 1000, "k2": 2000, "total_iterations": 4000, **overrides}
-    )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    schedule: ScheduleConfig = field(default_factory=default_schedule)
+    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     tau: float = 2.0
     mu: float = 0.05
     beta_en: float = 0.0
@@ -91,7 +82,6 @@ class TrainConfig:
     disable_distillation: bool = False
     log_every: int = 1
     eval_every: int = 0
-    eval_ks: tuple = DEFAULT_KS
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -101,16 +91,14 @@ class TrainConfig:
             raise ConfigurationError("tau must be positive")
         if not self.mu >= 0:
             raise ConfigurationError("mu must be nonnegative")
+        if not 0.0 <= self.beta_en < 1.0:
+            raise ConfigurationError("beta_en must lie in [0, 1)")
         for name in ("batch_size", "hidden_dim", "context_dim", "log_every"):
             if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"{name} must be positive")
         for name in ("eval_every", "seed"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
-        try:
-            check_ks(self.eval_ks)
-        except ValueError as exc:
-            raise ConfigurationError(f"eval_ks: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -269,9 +257,10 @@ def _make_context(cfg, constants, k, batch):
 def train(cfg, vocab, train_split, model, eval_instances=None):
     """Run the curriculum loop; mutates the model, returns the TrainLog.
 
-    When eval_instances is given, an evaluation snapshot is appended every
-    eval_every iterations (if nonzero) and at the end of training. Both
-    splits must fit the model (``model.check_fit``).
+    When eval_instances is given, an evaluation snapshot at
+    ``metrics.DEFAULT_KS`` is appended every eval_every iterations (if
+    nonzero) and at the end of training. Both splits must fit the model
+    (``model.check_fit``).
     """
     sched = cfg.schedule
     for split in (train_split, eval_instances):
@@ -321,15 +310,10 @@ def train(cfg, vocab, train_split, model, eval_instances=None):
             and k % cfg.eval_every == 0
             and k < sched.total_iterations
         ):
-            log.eval_snapshots.append(
-                (k, evaluate(model, eval_instances, vocab, cfg.eval_ks))
-            )
+            log.eval_snapshots.append((k, evaluate(model, eval_instances, vocab)))
     if eval_instances is not None:
         log.eval_snapshots.append(
-            (
-                sched.total_iterations,
-                evaluate(model, eval_instances, vocab, cfg.eval_ks),
-            )
+            (sched.total_iterations, evaluate(model, eval_instances, vocab))
         )
     return log
 
@@ -376,6 +360,7 @@ def _f(value):
 
 
 def write_log(path, log, vocab):
+    _, eval_keys = _LOG_RECORDS["eval"]
     with open_atomic(path) as fh:
         fh.write(f"# training-log {LOG_FORMAT_VERSION}\n")
         for entry in log.entries:
@@ -388,15 +373,12 @@ def write_log(path, log, vocab):
             )
         for iteration, report in log.eval_snapshots:
             for k in report.ks:
-                many, medium, few = (
-                    "absent" if g is None else _f(g)
-                    for g in report.group_recalls[k]
-                )
-                fh.write(
-                    f"eval {iteration} {k} r={_f(report.r_at_k[k])} "
-                    f"mr={_f(report.mr_at_k[k])} m={_f(report.m_at_k[k])} "
-                    f"many={many} medium={medium} few={few}\n"
-                )
+                values = (report.r_at_k[k], report.mr_at_k[k], report.m_at_k[k],
+                          *report.group_recalls[k])
+                fh.write(f"eval {iteration} {k} " + " ".join(
+                    f"{key}={'absent' if value is None else _f(value)}"
+                    for key, value in zip(eval_keys, values)
+                ) + "\n")
                 per_class = report.per_predicate[k]
                 for i in range(1, per_class.shape[0]):
                     recall = (
@@ -412,7 +394,7 @@ def write_log(path, log, vocab):
 _LOG_RECORDS = {
     "iter": (("iteration",), ("alpha", "lambda_head", "l_ce", "l_crm", "l_hybrid",
                               "l_sc", "l_kd", "l_total")),
-    "eval": (("iteration", "K"), ("r", "mr", "m", "many", "medium", "few")),
+    "eval": (("iteration", "K"), ("r", "mr", "m", *GROUP_NAMES)),
     "evalpred": (("iteration", "K", "index", "name", "train_count", "recall"), ()),
 }
 

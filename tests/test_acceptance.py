@@ -349,10 +349,15 @@ def test_criterion_3_permutation_invariance():
 # ---------------------------------------------------------------------------
 
 
+def triple_table(rows, score=None):
+    """TripleTable of (image, subject, object, predicate) tuples."""
+    return TripleTable(*np.asarray(rows, dtype=np.int64).reshape(-1, 4).T, score)
+
+
 def prediction_table(preds):
     """TripleTable of (image, subject, object, predicate, score) tuples."""
-    return TripleTable.from_rows([p[:4] for p in preds],
-                                 np.asarray([p[4] for p in preds], dtype=np.float64))
+    return triple_table([p[:4] for p in preds],
+                       np.asarray([p[4] for p in preds], dtype=np.float64))
 
 
 def brute_force_matcher(preds, gts, k):
@@ -391,7 +396,7 @@ def test_criterion_4_metric_oracle():
                               int(rng.integers(1, 4)),
                               int(rng.integers(1, n_classes + 1)),
                               float(rng.choice([0.2, 0.4, 0.6, 0.8]))))
-        pred_table, gt_table = prediction_table(preds), TripleTable.from_rows(gts)
+        pred_table, gt_table = prediction_table(preds), triple_table(gts)
         for k in (1, 3, 6, 10):
             by_class = brute_force_matcher(preds, gts, k)
             hits = sum(by_class.values())

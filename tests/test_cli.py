@@ -14,7 +14,7 @@ from dualrel.config import generator_config_from, parse_kv_file, train_config_fr
 from dualrel.datagen import GeneratorConfig
 from dualrel.model import DualBranchModel, save_checkpoint
 from dualrel.schedules import ScheduleConfig, branch_weight, head_predicate_weight
-from dualrel.training import TrainConfig, default_schedule, parse_log
+from dualrel.training import TrainConfig, parse_log
 
 GEN_CFG = """
 num_object_classes=6
@@ -284,7 +284,7 @@ class TestConfigParsing:
 
         defaults = {
             "generator": (GeneratorConfig(), config.GENERATOR_KEYS),
-            "schedule": (default_schedule(), config.SCHEDULE_KEYS),
+            "schedule": (ScheduleConfig(), config.SCHEDULE_KEYS),
             "train": (TrainConfig(), config.TRAIN_KEYS),
         }
         values = {
@@ -312,10 +312,10 @@ class TestConfigParsing:
                 assert type(getattr(cfg, key)) is type(value), key
 
     def test_default_schedule_restates_only_the_breakpoints(self):
-        assert default_schedule() == ScheduleConfig(
+        assert ScheduleConfig() == ScheduleConfig(
             k1=1000, k2=2000, total_iterations=4000
         )
-        assert default_schedule(k2=3000, kind="parabolic") == ScheduleConfig(
+        assert ScheduleConfig(k2=3000, kind="parabolic") == ScheduleConfig(
             k1=1000, k2=3000, total_iterations=4000, kind="parabolic"
         )
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import brute_force_matcher, prediction_table
+from test_acceptance import brute_force_matcher, prediction_table, triple_table
 
 from dualrel.metrics import (
     EvalReport,
-    TripleTable,
     compute_report,
     group_mean_recall,
     mean_at_k,
@@ -62,22 +61,22 @@ def random_instance(rng, max_images=3, max_classes=4, max_preds=10):
                 int(rng.integers(1, n_classes + 1)),
                 float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9])),
             ))
-    return prediction_table(preds), TripleTable.from_rows(gts), n_classes, preds, gts
+    return prediction_table(preds), triple_table(gts), n_classes, preds, gts
 
 
 class TestRecallAtK:
     def test_perfect_ranking(self):
-        gts = TripleTable.from_rows([(0, 1, 2, 3), (1, 2, 1, 1)])
+        gts = triple_table([(0, 1, 2, 3), (1, 2, 1, 1)])
         preds = prediction_table([(0, 1, 2, 3, 0.9), (1, 2, 1, 1, 0.8)])
         assert recall_at_k(preds, gts, 1) == 1.0
 
     def test_no_overlap(self):
-        gts = TripleTable.from_rows([(0, 1, 2, 3)])
+        gts = triple_table([(0, 1, 2, 3)])
         preds = prediction_table([(0, 1, 2, 2, 0.9)])
         assert recall_at_k(preds, gts, 5) == 0.0
 
     def test_partial_hits_small_instance(self):
-        gts = TripleTable.from_rows([(0, 1, 2, 1), (0, 2, 3, 2), (0, 3, 1, 3)])
+        gts = triple_table([(0, 1, 2, 1), (0, 2, 3, 2), (0, 3, 1, 3)])
         preds = prediction_table(
             [(0, 1, 2, 1, 0.9), (0, 2, 3, 2, 0.8), (0, 3, 1, 3, 0.7)]
         )
@@ -85,27 +84,27 @@ class TestRecallAtK:
 
     def test_duplicate_predictions_consume_one_gt_each(self):
         preds = prediction_table([(0, 1, 2, 1, 0.9), (0, 1, 2, 1, 0.8)])
-        assert recall_at_k(preds, TripleTable.from_rows([(0, 1, 2, 1)]), 2) == 1.0
-        gts2 = TripleTable.from_rows([(0, 1, 2, 1)] * 2)
+        assert recall_at_k(preds, triple_table([(0, 1, 2, 1)]), 2) == 1.0
+        gts2 = triple_table([(0, 1, 2, 1)] * 2)
         assert recall_at_k(preds, gts2, 2) == 1.0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            recall_at_k(prediction_table([]), TripleTable.from_rows([(0, 1, 1, 1)]), 0)
+            recall_at_k(prediction_table([]), triple_table([(0, 1, 1, 1)]), 0)
         with pytest.raises(ValueError):
-            recall_at_k(prediction_table([]), TripleTable.from_rows([]), 5)
+            recall_at_k(prediction_table([]), triple_table([]), 5)
 
 
 class TestMeanRecall:
     def test_single_class_equals_recall(self):
-        gts = TripleTable.from_rows([(0, 1, 2, 1), (0, 2, 2, 1)])
+        gts = triple_table([(0, 1, 2, 1), (0, 2, 2, 1)])
         preds = prediction_table([(0, 1, 2, 1, 0.9)])
         mr, per_class = mean_recall_at_k(preds, gts, 5, 3)
         assert mr == recall_at_k(preds, gts, 5)
         assert np.isnan(per_class[2])
 
     def test_two_class_average(self):
-        gts = TripleTable.from_rows([(0, 1, 2, 1), (0, 2, 2, 2)])
+        gts = triple_table([(0, 1, 2, 1), (0, 2, 2, 2)])
         preds = prediction_table([(0, 1, 2, 1, 0.9)])
         mr, per_class = mean_recall_at_k(preds, gts, 5, 2)
         assert mr == pytest.approx(0.5)
@@ -286,7 +285,7 @@ def test_array_ranking_matches_brute_force_matcher(instance, ks):
     for *_, predicate in gt_rows:
         gt_counts[predicate] = gt_counts.get(predicate, 0) + 1
     groups = ([1], list(range(2, n_classes + 1)), [])
-    preds, gts = prediction_table(pred_rows), TripleTable.from_rows(gt_rows)
+    preds, gts = prediction_table(pred_rows), triple_table(gt_rows)
     report = compute_report(preds, gts, n_classes, groups, ks)
     for k in ks:
         by_class = brute_force_matcher(pred_rows, gt_rows, k)

@@ -12,6 +12,7 @@ from dualrel.datagen import (
     GeneratorConfig,
     RelationTable,
     build_prior_bias,
+    feature_widths,
     generate_dataset,
     load_relations,
     relations_by_image,
@@ -39,6 +40,7 @@ CFG = GeneratorConfig(
     num_object_classes=6, num_head_predicates=3, tails_per_head=1,
     feature_dim=8, num_train=240, num_test=24, relations_per_image=3, seed=5,
 )
+INPUT_DIM = sum(feature_widths(CFG.num_object_classes, CFG.feature_dim))
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +84,7 @@ class TestTableInputs:
     def test_instance_matrix_is_each_rows_feature_fields(self, split, model):
         x = instance_matrix(model, split)
         assert x.flags.c_contiguous
-        assert x.shape == (len(split), model.input_dim)
+        assert x.shape == (len(split), INPUT_DIM)
         assert x.tobytes() == feature_rows(split).tobytes()
 
     def test_run_inputs_are_each_rows_fields(self, split, model):
@@ -93,7 +95,7 @@ class TestTableInputs:
             rows = [row for image in run for row in image]
             assert x.dtype == np.float64
             assert x.tobytes() == feature_rows(rows).tobytes()
-            assert x.shape == (len(run), len(run[0]), model.input_dim)
+            assert x.shape == (len(run), len(run[0]), INPUT_DIM)
             expected = [[r.subject_class, r.object_class, r.gt_predicate] for r in rows]
             got = np.stack([subjects, objects, predicates], axis=-1).reshape(-1, 3)
             assert got.tolist() == expected
@@ -117,7 +119,7 @@ class TestExtractor:
         assert coarse.shape == fine.shape
 
     def test_zero_input_zero_bias_gives_zero_preactivation(self, model):
-        x = np.zeros((1, model.input_dim))
+        x = np.zeros((1, INPUT_DIM))
         _, cache = extractor_forward(model, x)
         np.testing.assert_array_equal(cache["pre"], 0.0)
 

@@ -128,6 +128,14 @@ class TestScheduleConfig:
         with pytest.raises(ValueError):
             ScheduleConfig(k1=1, k2=2, total_iterations=4, kind="exponential", nu=1.0)
 
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("nu", [math.nan, 0.0, 1.0, -0.5])
+    def test_nu_outside_the_open_unit_interval_is_rejected_for_every_kind(
+        self, kind, nu
+    ):
+        with pytest.raises(ConfigurationError, match="nu"):
+            ScheduleConfig(k1=1, k2=2, total_iterations=4, kind=kind, nu=nu)
+
     @pytest.mark.parametrize("field, value", [
         ("head_threshold", math.nan),
         ("head_threshold", -1),

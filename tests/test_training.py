@@ -16,6 +16,7 @@ from dualrel.datagen import (
 )
 from dualrel.losses import effective_number_weights
 from dualrel.metrics import (
+    DEFAULT_KS,
     EvalReport,
     format_report,
     group_mean_recall,
@@ -524,10 +525,11 @@ def test_stacked_eval_matches_one_forward_per_image(dataset):
 class TestTrainLogIO:
     def test_round_trip(self, dataset, tmp_path):
         vocab, train_split, test_split = dataset
-        cfg = small_config(eval_every=15, eval_ks=(5, 10))
+        cfg = small_config(eval_every=15)
         model = build_model(dataset, cfg)
         log = train(cfg, vocab, train_split, model, eval_instances=test_split)
         assert [k for k, _ in log.eval_snapshots] == [15, 30]
+        assert all(report.ks == DEFAULT_KS for _, report in log.eval_snapshots)
         path = tmp_path / "train.log"
         write_log(path, log, vocab)
         iters, evals, evalpreds = parse_log(path)
@@ -538,10 +540,11 @@ class TestTrainLogIO:
             assert row["alpha"] == entry.breakdown.alpha_used
             assert row["lambda_head"] == entry.lambda_head
         assert {row["iteration"] for row in evals} == {15, 30}
+        assert [row["K"] for row in evals] == [*DEFAULT_KS] * 2
         final = log.eval_snapshots[-1][1]
         for row in evals:
-            if row["iteration"] == 30 and row["K"] == 5:
-                assert row["r"] == final.r_at_k[5]
+            if row["iteration"] == 30 and row["K"] == 20:
+                assert row["r"] == final.r_at_k[20]
         names = {row["name"] for row in evalpreds}
         assert vocab.names[1] in names
 
@@ -568,14 +571,9 @@ class TestTrainConfig:
             ("log_every", 0),
             ("log_every", -2),
             ("eval_every", -1),
-            # eval_ks must be a non-empty sequence of distinct integers >= 1
-            ("eval_ks", ()),
-            ("eval_ks", (0,)),
-            ("eval_ks", (5, -1)),
-            ("eval_ks", (5, 5)),
-            ("eval_ks", (2.5,)),
-            ("eval_ks", (True,)),
-            ("eval_ks", 20),
+            ("beta_en", float("nan")),
+            ("beta_en", -0.5),
+            ("beta_en", 1.0),
         ],
     )
     def test_rejects_nan_and_out_of_range_values(self, name, value):
