@@ -143,14 +143,17 @@ def _cmd_eval(args):
 
 def _cmd_report(args):
     iters, evals, evalpreds = parse_log(args.log)
-    lines = ["schedule trace", "iteration\talpha\tlambda_head"]
+    positional, keys = _LOG_RECORDS["iter"]
+    trace = [*positional, *(key for key, kind in keys.items() if kind == "weight")]
+    lines = ["schedule trace", "\t".join(trace)]
     for row in iters:
-        lines.append(f"{row['iteration']}\t{row['alpha']!r}\t{row['lambda_head']!r}")
+        # str of a float is its repr, as in the log
+        lines.append("\t".join(str(row[field]) for field in trace))
     if evals:
         lines.append("")
         lines.append("evaluation snapshots")
         positional, keys = _LOG_RECORDS["eval"]
-        lines.append("\t".join(positional + keys))
+        lines.append("\t".join([*positional, *keys]))
         for row in evals:
             lines.append("\t".join([*(str(row[name]) for name in positional),
                                     *(recall_cell(row[key]) for key in keys)]))

@@ -9,7 +9,7 @@ softmaxes over the head indices only, which keeps the Gibbs bound
 (loss >= teacher entropy) exact and testable.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,3 +136,7 @@ class LossBreakdown:
     l_kd: float
     l_total: float
     alpha_used: float
+
+
+# the loss components l_ce ... l_total, in field order
+LOSS_NAMES = tuple(f.name for f in fields(LossBreakdown) if f.name != "alpha_used")

@@ -58,10 +58,12 @@ class ScheduleConfig:
             raise ConfigurationError("head_threshold must be nonnegative")
 
 
-def schedule_value(kind, t, total, nu=0.01):
+def schedule_value(kind, t, total, nu=ScheduleConfig.nu):
     """Decreasing schedule in [0, 1]: 1 at t=0, floor value at t=total.
 
     linear: 1 - t/T; exponential: nu**(t/T); parabolic: 1 - (t/T)**2.
+    nu defaults to ``ScheduleConfig``'s and is checked here as well, since a
+    caller may pass its own without a ScheduleConfig.
     """
     if total <= 0:
         raise ValueError(f"schedule horizon must be positive, got {total}")

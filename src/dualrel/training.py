@@ -28,17 +28,24 @@ images makes one fine-branch forward (``model.fine_branch_rows``, which
 returns the output logits), with the bits of one forward per image.
 The snapshots taken during training are at ``metrics.DEFAULT_KS``.
 
-``_LOG_RECORDS`` states the fields of each train.log record once;
-``write_log`` and ``parse_log`` follow it, and ``dualrel report`` takes its
-evaluation-snapshot table from it.
+``_LOG_RECORDS`` is the one statement of the train.log format: each
+record's fields in file order, with each field's kind (``_KINDS``: the type
+its text is read as and its range). The ``iter`` record's loss keys are
+``losses.LOSS_NAMES``, which the training loop's non-finite check walks
+too. ``write_log`` writes every record through one formatter that reads the
+table, ``parse_log`` reads and range-checks each value by its kind, and
+``dualrel report`` takes its schedule trace and evaluation-snapshot table
+from it.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datagen import group_split, head_set, open_atomic, open_text, relations_by_image
 from .losses import (
+    LOSS_NAMES,
     LossBreakdown,
     cross_entropy_rows,
     curriculum_cross_entropy_rows,
@@ -287,23 +294,13 @@ def train(cfg, vocab, train_split, model, eval_instances=None):
         l_kd = kd_sum / ctx.n_relations
         l_hybrid = hybrid_loss(ctx.alpha, l_ce, l_crm)
         l_total = total_loss(l_hybrid, l_sc, l_kd, cfg.mu)
-        for name, value in (
-            ("l_ce", l_ce), ("l_crm", l_crm), ("l_sc", l_sc),
-            ("l_kd", l_kd), ("l_total", l_total),
-        ):
-            if not np.isfinite(value):
+        breakdown = LossBreakdown(l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total, ctx.alpha)
+        for name in LOSS_NAMES:
+            if not np.isfinite(getattr(breakdown, name)):
                 raise TrainingDiverged(k, name)
         model.store.sgd_step(cfg.learning_rate)
         if k % cfg.log_every == 0 or k == sched.total_iterations:
-            log.entries.append(
-                LogEntry(
-                    k,
-                    LossBreakdown(
-                        l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total, ctx.alpha
-                    ),
-                    ctx.lambda_head,
-                )
-            )
+            log.entries.append(LogEntry(k, breakdown, ctx.lambda_head))
         if (
             eval_instances is not None
             and cfg.eval_every
@@ -355,72 +352,86 @@ def evaluate(model, test_split, vocab, ks=DEFAULT_KS):
 # ---------------------------------------------------------------------------
 
 
-def _f(value):
-    return repr(float(value))
+# record -> (positional fields, key=value fields), each a {field: kind} dict
+# in file order: the one statement of the train.log format
+_LOG_RECORDS = {
+    "iter": ({"iteration": "index"},
+             {"alpha": "weight", "lambda_head": "weight",
+              **dict.fromkeys(LOSS_NAMES, "loss")}),
+    "eval": ({"iteration": "index", "K": "index"},
+             dict.fromkeys(("r", "mr", "m", *GROUP_NAMES), "recall")),
+    "evalpred": ({"iteration": "index", "K": "index", "index": "index", "name": "name",
+                  "train_count": "count", "recall": "recall"}, {}),
+}
+# kind -> (the type its text is read as, lowest, highest); every float range
+# is finite, so NaN and inf lie outside it, and a recall may be "absent"
+_KINDS = {
+    "index": (int, 1, np.inf),
+    "count": (int, 0, np.inf),
+    "name": (str, None, None),
+    "loss": (float, -np.finfo(float).max, np.finfo(float).max),
+    "weight": (float, 0.0, 1.0),
+    "recall": (float, 0.0, 1.0),
+}
+
+
+def _log_line(record, values):
+    """One train.log line of ``record``, its values in the table's order; a
+    missing recall (None or NaN) is written ``absent``."""
+    positional, keyed = _LOG_RECORDS[record]
+    cells = [record]
+    for (field, kind), value in zip([*positional.items(), *keyed.items()], values):
+        text = ("absent" if kind == "recall" and (value is None or math.isnan(value))
+                else str(_KINDS[kind][0](value)))  # str of a float is its repr
+        cells.append(f"{field}={text}" if field in keyed else text)
+    return " ".join(cells) + "\n"
 
 
 def write_log(path, log, vocab):
-    _, eval_keys = _LOG_RECORDS["eval"]
     with open_atomic(path) as fh:
         fh.write(f"# training-log {LOG_FORMAT_VERSION}\n")
         for entry in log.entries:
             b = entry.breakdown
-            fh.write(
-                f"iter {entry.iteration} alpha={_f(b.alpha_used)} "
-                f"lambda_head={_f(entry.lambda_head)} l_ce={_f(b.l_ce)} "
-                f"l_crm={_f(b.l_crm)} l_hybrid={_f(b.l_hybrid)} "
-                f"l_sc={_f(b.l_sc)} l_kd={_f(b.l_kd)} l_total={_f(b.l_total)}\n"
-            )
+            fh.write(_log_line("iter", [entry.iteration, b.alpha_used, entry.lambda_head,
+                                        *(getattr(b, name) for name in LOSS_NAMES)]))
         for iteration, report in log.eval_snapshots:
             for k in report.ks:
-                values = (report.r_at_k[k], report.mr_at_k[k], report.m_at_k[k],
-                          *report.group_recalls[k])
-                fh.write(f"eval {iteration} {k} " + " ".join(
-                    f"{key}={'absent' if value is None else _f(value)}"
-                    for key, value in zip(eval_keys, values)
-                ) + "\n")
+                fh.write(_log_line("eval", [iteration, k, report.r_at_k[k],
+                                            report.mr_at_k[k], report.m_at_k[k],
+                                            *report.group_recalls[k]]))
                 per_class = report.per_predicate[k]
                 for i in range(1, per_class.shape[0]):
-                    recall = (
-                        "absent" if np.isnan(per_class[i]) else _f(per_class[i])
-                    )
-                    fh.write(
-                        f"evalpred {iteration} {k} {i} {vocab.names[i]} "
-                        f"{int(vocab.train_counts[i])} {recall}\n"
-                    )
+                    fh.write(_log_line("evalpred", [iteration, k, i, vocab.names[i],
+                                                    vocab.train_counts[i], per_class[i]]))
 
 
-# record -> (positional fields, key=value fields), as write_log writes them
-_LOG_RECORDS = {
-    "iter": (("iteration",), ("alpha", "lambda_head", "l_ce", "l_crm", "l_hybrid",
-                              "l_sc", "l_kd", "l_total")),
-    "eval": (("iteration", "K"), ("r", "mr", "m", *GROUP_NAMES)),
-    "evalpred": (("iteration", "K", "index", "name", "train_count", "recall"), ()),
-}
-
-
-def _log_value(record, field, text):
-    if field == "name":
-        return text
-    if field in ("iteration", "K", "index", "train_count"):
-        return int(text)
-    if text == "absent" and record != "iter":
+def _log_value(kind, text):
+    """A field's value, read by its kind; ValueError when the text does not
+    read as the kind's type or the value is outside the kind's range."""
+    if kind == "recall" and text == "absent":
         return None
-    return float(text)
+    read, low, high = _KINDS[kind]
+    value = read(text)
+    if read is not str and not low <= value <= high:
+        raise ValueError(text)
+    return value
 
 
 def parse_log(path):
     """Parse a training log into (iteration rows, eval rows, per-pred rows).
 
-    A line must hold exactly the fields ``write_log`` writes for its record,
-    and each evaluation's per-predicate rows must cover every K; otherwise
-    one ValueError names the file, the line or iteration, and the field.
+    The header must name ``LOG_FORMAT_VERSION``. A line must hold exactly
+    the fields ``write_log`` writes for its record, each value in its kind's
+    range (``_KINDS``); ``iter`` iterations must rise, and each evaluation's
+    per-predicate rows must cover every K. Otherwise one ValueError names
+    the file, the line or iteration, and the field.
     """
     rows = {record: [] for record in _LOG_RECORDS}
     with open_text(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["#", "training-log"]:
-            raise ValueError(f"{path} is not a training log")
+        header = " ".join(fh.readline().split())
+        if header != f"# training-log {LOG_FORMAT_VERSION}":
+            raise ValueError(f"{path}, line 1: the header {header!r} is not "
+                             f"'# training-log {LOG_FORMAT_VERSION}'")
         for number, line in enumerate(fh, start=2):
             tok = line.split()
             if not tok:
@@ -429,23 +440,29 @@ def parse_log(path):
             if tok[0] not in _LOG_RECORDS:
                 raise ValueError(f"{where}: unknown log record {tok[0]!r}")
             positional, keys = _LOG_RECORDS[tok[0]]
-            fields = list(zip(positional, tok[1:]))
+            fields = [(field, kind, text)
+                      for (field, kind), text in zip(positional.items(), tok[1:])]
             for pair in tok[1 + len(positional):]:
                 key, sep, text = pair.partition("=")
                 if not sep or key not in keys:
                     raise ValueError(f"{where}: unexpected field {pair!r}")
-                fields.append((key, text))
+                fields.append((key, keys[key], text))
             row = {}
-            for field, text in fields:
+            for field, kind, text in fields:
                 try:
-                    row[field] = _log_value(tok[0], field, text)
+                    row[field] = _log_value(kind, text)
                 except ValueError:
                     raise ValueError(
                         f"{where}: field {field} has bad value {text!r}"
                     ) from None
-            missing = [field for field in positional + keys if field not in row]
+            missing = [field for field in [*positional, *keys] if field not in row]
             if missing:
                 raise ValueError(f"{where}: field {missing[0]} is missing")
+            if tok[0] == "iter" and rows["iter"] and (
+                row["iteration"] <= rows["iter"][-1]["iteration"]
+            ):
+                raise ValueError(f"{where}: iteration {row['iteration']} does not "
+                                 f"follow iteration {rows['iter'][-1]['iteration']}")
             rows[tok[0]].append(row)
     ks = {}
     for row in rows["evalpred"]:

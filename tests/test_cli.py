@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import struct
@@ -11,10 +12,12 @@ import dualrel
 from dualrel import config
 from dualrel.cli import run_command
 from dualrel.config import generator_config_from, parse_kv_file, train_config_from
-from dualrel.datagen import GeneratorConfig
+from dualrel.datagen import GeneratorConfig, PredicateVocabulary
+from dualrel.losses import LossBreakdown
+from dualrel.metrics import EvalReport
 from dualrel.model import DualBranchModel, save_checkpoint
 from dualrel.schedules import ScheduleConfig, branch_weight, head_predicate_weight
-from dualrel.training import TrainConfig, parse_log
+from dualrel.training import LogEntry, TrainConfig, TrainLog, parse_log, write_log
 
 GEN_CFG = """
 num_object_classes=6
@@ -123,6 +126,53 @@ def test_log_traces_match_schedule_module(workspace):
         k = row["iteration"]
         assert row["alpha"] == branch_weight(k, cfg.schedule)
         assert row["lambda_head"] == head_predicate_weight(k, True, cfg.schedule)
+
+
+def _hand_built_log():
+    """A TrainLog of fixed floats: three iterations, two snapshots at K = 20
+    and 50, a group with no ground truth (None) and a predicate with none
+    (NaN), over a three-predicate vocabulary."""
+    vocab = PredicateVocabulary(["__background__", "on", "has", "near"],
+                                np.array([0, 9, 4, 1]), np.array([0, 1, 2, 1]))
+    entries = [
+        LogEntry(k, LossBreakdown(l_ce, l_crm, l_hybrid, 0.0, 1e-05, l_total, alpha),
+                 lambda_head)
+        for k, alpha, lambda_head, l_ce, l_crm, l_hybrid, l_total in [
+            (1, 1.0, 1.0, 2.5, 2.75, 2.5, 2.50002),
+            (2, 0.55, 0.9, 0.1 + 0.2, 1 / 3, 0.3150000000000001, 1.2345678901234567),
+            (4, 0.1, 0.2, 3e-12, 123456.789, 111111.1101, 111111.1101),
+        ]
+    ]
+    snapshots = [
+        (iteration, EvalReport(
+            ks=(20, 50),
+            r_at_k={20: 0.25 * scale, 50: 0.5 * scale},
+            mr_at_k={20: 1 / 3, 50: 2 / 3},
+            m_at_k={20: 0.1 + 0.2, 50: 0.7},
+            per_predicate={20: np.array([np.nan, 0.5, np.nan, 1.0]),
+                           50: np.array([np.nan, 0.75, np.nan, 1.0])},
+            group_recalls={20: (0.5, None, 1.0), 50: (0.75, None, 1.0)},
+        ))
+        for iteration, scale in [(2, 1.0), (4, 1.5)]
+    ]
+    return TrainLog(entries, snapshots), vocab
+
+
+def test_log_and_report_bytes_are_pinned(tmp_path):
+    """The bytes of a train.log and of its ``dualrel report`` summary.
+
+    The log is built by hand, so the bytes depend only on ``repr(float)``
+    and the format, not on BLAS or on training: a format change that a rerun
+    comparison cannot see (it happens in both runs) fails here.
+    """
+    log, vocab = _hand_built_log()
+    path, summary = tmp_path / "train.log", tmp_path / "summary.txt"
+    write_log(path, log, vocab)
+    assert run_command(["report", "--log", str(path), "--out", str(summary)]) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, summary)] == [
+        "a07b2998eac2055eafb4e348867d53bf74ec2d7a7b52e812fc0c46e06e5dfaf2",
+        "c5bc6857c58a31865da5c51bae747f5b8f4d309a88dae30b4a857a4c0f82daa8",
+    ]
 
 
 def test_eval_missing_checkpoint_leaves_no_report(workspace, capsys):
@@ -429,6 +479,8 @@ def _model_with(**dims):
 
 ITER_LINE = ("iter 1 alpha=1.0 lambda_head=1.0 l_ce=1.0 l_crm=1.0 l_hybrid=1.0 "
              "l_sc=0.0 l_kd=0.0 l_total=1.0")
+EVAL_LINE = "eval 1 20 r=0.5 mr=0.5 m=0.5 many=0.5 medium=absent few=0.5"
+EVALPRED_LINE = "evalpred 1 20 1 a 3 0.5"
 # predicate 2 has no K=10 row
 EVALPRED_LINES = "\n".join(["evalpred 10 5 1 a 3 0.5", "evalpred 10 10 1 a 3 0.5",
                             "evalpred 10 5 2 b 2 0.5"])
@@ -505,6 +557,40 @@ BAD_INPUTS = [
     pytest.param("report", EVALPRED_LINES, ("iteration 10", "K=10", "index 2"),
                  id="evalpred-missing-a-k"),
     pytest.param("report", f"{ITER_LINE}\udcff", ("line 2", "UTF-8"), id="log-non-utf8"),
+    pytest.param("report", ITER_LINE.replace("alpha=1.0", "alpha=nan"),
+                 ("line 2", "field alpha "), id="alpha=nan"),
+    pytest.param("report", ITER_LINE.replace("l_ce=1.0", "l_ce=inf"),
+                 ("line 2", "field l_ce "), id="l_ce=inf"),
+    pytest.param("report", ITER_LINE.replace("l_total=1.0", "l_total=-inf"),
+                 ("line 2", "field l_total "), id="l_total=-inf"),
+    pytest.param("report", ITER_LINE.replace("alpha=1.0", "alpha=1.5"),
+                 ("line 2", "field alpha "), id="alpha=1.5"),
+    pytest.param("report", ITER_LINE.replace("lambda_head=1.0", "lambda_head=-0.1"),
+                 ("line 2", "field lambda_head "), id="lambda_head=-0.1"),
+    pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE.replace(' r=0.5', ' r=7.0')}",
+                 ("line 3", "field r "), id="eval-r=7.0"),
+    pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE.replace('few=0.5', 'few=nan')}",
+                 ("line 3", "field few "), id="eval-few=nan"),
+    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 0.5', ' -0.5')}",
+                 ("line 3", "field recall "), id="evalpred-recall=-0.5"),
+    pytest.param("report", ITER_LINE.replace("iter 1", "iter 0"),
+                 ("line 2", "field iteration "), id="iter-0"),
+    pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE.replace(' 20 ', ' 0 ')}",
+                 ("line 3", "field K "), id="eval-K=0"),
+    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 1 a ', ' 0 a ')}",
+                 ("line 3", "field index "), id="evalpred-index=0"),
+    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 3 ', ' -1 ')}",
+                 ("line 3", "field train_count "), id="evalpred-train_count=-1"),
+    pytest.param("report", f"{ITER_LINE}\n{ITER_LINE}", ("line 3", "iteration 1"),
+                 id="iter-repeated"),
+    pytest.param("report", f"{ITER_LINE.replace('iter 1', 'iter 5')}\n{ITER_LINE}",
+                 ("line 3", "iteration 1", "iteration 5"), id="iter-goes-down"),
+    pytest.param("report", f"# training-log 2\n{ITER_LINE}",
+                 ("line 1", "'# training-log 2'"), id="log-version-2"),
+    pytest.param("report", f"# training-log\n{ITER_LINE}",
+                 ("line 1", "'# training-log'"), id="log-without-version"),
+    pytest.param("report", f"# training-log x\n{ITER_LINE}",
+                 ("line 1", "'# training-log x'"), id="log-version-x"),
 ]
 
 
@@ -546,7 +632,9 @@ def test_bad_input_is_one_error_line_and_no_output(
         argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]
     elif command == "report":
         log = inputs = tmp_path / "train.log"
-        log.write_bytes(f"# training-log 1\n{change}\n".encode("utf-8", "surrogateescape"))
+        if not change.startswith("#"):  # a change may bring its own header
+            change = f"# training-log 1\n{change}"
+        log.write_bytes(f"{change}\n".encode("utf-8", "surrogateescape"))
         named = [*named, str(log)]
         argv = ["report", "--log", str(log), "--out", str(out)]
     else:
