@@ -12,14 +12,16 @@ import argparse
 import os
 import sys
 
-from . import config as config_mod
+from .config import read_config
 from .datagen import (
+    GeneratorConfig,
     build_prior_bias,
     generate_dataset,
     load_dataset,
     load_split,
     load_vocabulary,
     open_atomic,
+    read_field,
     save_dataset,
 )
 from .metrics import (
@@ -30,7 +32,7 @@ from .metrics import (
     recall_cell,
 )
 from .model import DualBranchModel, check_fit, load_checkpoint, save_checkpoint
-from .training import _LOG_RECORDS, evaluate, parse_log, train, write_log
+from .training import _LOG_RECORDS, TrainConfig, evaluate, parse_log, train, write_log
 
 
 def _build_parser():
@@ -63,7 +65,7 @@ def _build_parser():
 
 
 def _cmd_generate(args):
-    cfg = config_mod.generator_config_from(config_mod.parse_kv_file(args.config))
+    cfg = read_config(args.config, GeneratorConfig)
     vocab, train_split, test_split = generate_dataset(cfg)
     save_dataset(args.out, vocab, train_split, test_split)
     counts = vocab.train_counts
@@ -76,7 +78,7 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
-    cfg = config_mod.train_config_from(config_mod.parse_kv_file(args.config))
+    cfg = read_config(args.config, TrainConfig)
     vocab, train_split, test_split = load_dataset(args.data)
     prior = build_prior_bias(train_split, vocab)
     model = DualBranchModel.build(
@@ -104,14 +106,7 @@ def _cmd_train(args):
 
 def _parse_ks(text):
     """The K values of ``--ks``, checked by ``metrics.check_ks``."""
-    ks = []
-    for part in text.split(","):
-        if not part:
-            continue
-        try:
-            ks.append(int(part))
-        except ValueError:
-            raise ValueError(f"--ks: {part!r} is not an integer") from None
+    ks = [read_field("--ks", "K", "int", part) for part in text.split(",") if part]
     try:
         check_ks(ks)
     except ValueError as exc:

@@ -16,6 +16,12 @@ prior the same head-favoring shape it has on real scene-graph data.
 
 A relation row's layout is stated once, by ``feature_widths``. A relation
 file's header records its table's own num_object_classes and feature_dim.
+
+``read_field`` is the one reader of a text field: the vocabulary, a
+relation file's header, the config files, train.log and ``--ks`` read each
+field through it, by a kind of ``FIELD_KINDS`` that fixes the type the
+text is read as and the range the value must lie in. A relation file's
+body is read as one float matrix and checked as a whole.
 """
 
 import contextlib
@@ -433,21 +439,50 @@ def open_text(path):
         raise
 
 
+# kind -> (the type its text is read as, lowest, highest, what it expects);
+# every float range is finite, so NaN and inf lie outside it
+FIELD_KINDS = {
+    "int": (int, -np.inf, np.inf, "an integer"),
+    "index": (int, 1, np.inf, "an integer of at least 1"),
+    "count": (int, 0, np.inf, "a nonnegative integer"),
+    "name": (str, None, None, "a name"),
+    "bool": (bool, None, None, "a boolean (true/false/yes/no/1/0)"),
+    "float": (float, -np.finfo(float).max, np.finfo(float).max, "a finite number"),
+    "weight": (float, 0.0, 1.0, "a number in [0, 1]"),
+    "recall": (float, 0.0, 1.0, "a number in [0, 1] or absent"),
+}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+
+
+def read_field(where, field, kind, text):
+    """The value of one text field, read by its kind (``FIELD_KINDS``); a
+    recall may be ``absent`` (None) and a bool's word may be in any case.
+
+    Text that does not read as the kind's type, or a value outside the
+    kind's range, raises one ValueError that names ``where`` (a file and
+    its line, or an option), the field, the text and what the kind takes.
+    """
+    read, low, high, expects = FIELD_KINDS[kind]
+    if kind == "recall" and text == "absent":
+        return None
+    try:
+        value = _BOOL_WORDS[text.lower()] if read is bool else read(text)
+        if low is not None and not low <= value <= high:
+            raise ValueError(text)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"{where}: field {field} has bad value {text!r}, expected {expects}"
+        ) from None
+    return value
+
+
 def save_vocabulary(path, vocab):
     with open_atomic(path) as fh:
         for i, name in enumerate(vocab.names):
             fh.write(
                 f"{i} {name} {int(vocab.train_counts[i])} {int(vocab.parent_of[i])}\n"
             )
-
-
-def _int_field(path, line_no, field, token):
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(
-            f"{path}, line {line_no}: {field} {token!r} is not an integer"
-        ) from None
 
 
 def load_vocabulary(path):
@@ -468,19 +503,15 @@ def load_vocabulary(path):
                     f"train_count parent), got {len(tok)}"
                 )
             idx, count, parent = (
-                _int_field(path, line_no, field, token)
-                for field, token in zip(
-                    ("index", "train_count", "parent"), (tok[0], tok[2], tok[3])
+                read_field(f"{path}, line {line_no}", field, kind, token)
+                for field, kind, token in zip(
+                    ("index", "train_count", "parent"), ("int", "count", "int"),
+                    (tok[0], tok[2], tok[3]),
                 )
             )
             if idx != len(names):
                 raise ValueError(
                     f"{path}, line {line_no}: index is {idx}, expected {len(names)}"
-                )
-            if count < 0:
-                raise ValueError(
-                    f"{path}, line {line_no}: train_count is {count}, must be "
-                    "nonnegative"
                 )
             names.append(tok[1])
             counts.append(count)
@@ -589,20 +620,15 @@ def load_relations(path):
         if len(header) != 5 or header[0] != "relations":
             raise ValueError(f"{path} is not a relation file")
         version, n_obj, n_pred, d = (
-            _int_field(path, 1, field, token)
-            for field, token in zip(
+            read_field(f"{path}, line 1", field, kind, token)
+            for field, kind, token in zip(
                 ("version", "num_object_classes", "num_predicates", "feature_dim"),
+                ("int", "index", "index", "index"),
                 header[1:],
             )
         )
         if version != DATASET_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported relation file version {version}")
-        for field, value in (("num_object_classes", n_obj),
-                             ("num_predicates", n_pred), ("feature_dim", d)):
-            if value < 1:
-                raise ValueError(
-                    f"{path}, line 1: {field} is {value}, must be at least 1"
-                )
         try:
             with warnings.catch_warnings():
                 # an empty body is an empty split, not a warning

@@ -40,6 +40,9 @@ from .numerics import (
 BRANCHES = ("coarse", "fine")
 CHECKPOINT_MAGIC = b"DBRM"
 CHECKPOINT_VERSION = 1
+# the checkpoint header's dimensions, in file order after the version
+CHECKPOINT_DIMS = ("feature_dim", "hidden_dim", "context_dim", "num_predicates",
+                   "num_object_classes")
 FROZEN_INITS = ("embedding", "prior")
 
 
@@ -249,17 +252,8 @@ def save_checkpoint(path, model):
     names = store.names()
     with open_atomic(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<6I",
-                CHECKPOINT_VERSION,
-                model.feature_dim,
-                model.hidden_dim,
-                model.context_dim,
-                model.num_predicates,
-                model.num_object_classes,
-            )
-        )
+        fh.write(struct.pack(f"<{1 + len(CHECKPOINT_DIMS)}I", CHECKPOINT_VERSION,
+                             *(getattr(model, dim) for dim in CHECKPOINT_DIMS)))
         fh.write(struct.pack("<I", len(names)))
         for name in names:
             raw = name.encode("utf-8")
@@ -307,14 +301,10 @@ def parse_checkpoint(data, name):
 
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{name} is not a model checkpoint")
-    version, *header = unpack("<6I")
+    version, *header = unpack(f"<{1 + len(CHECKPOINT_DIMS)}I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{name}: unsupported checkpoint version {version}")
-    dims = dict(zip(
-        ("feature_dim", "hidden_dim", "context_dim", "num_predicates",
-         "num_object_classes"),
-        header,
-    ))
+    dims = dict(zip(CHECKPOINT_DIMS, header))
     for key, value in dims.items():
         if value < 1:
             raise ValueError(f"{name}: header {key} is {value}, must be at least 1")

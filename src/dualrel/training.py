@@ -29,13 +29,13 @@ returns the output logits), with the bits of one forward per image.
 The snapshots taken during training are at ``metrics.DEFAULT_KS``.
 
 ``_LOG_RECORDS`` is the one statement of the train.log format: each
-record's fields in file order, with each field's kind (``_KINDS``: the type
-its text is read as and its range). The ``iter`` record's loss keys are
-``losses.LOSS_NAMES``, which the training loop's non-finite check walks
-too. ``write_log`` writes every record through one formatter that reads the
-table, ``parse_log`` reads and range-checks each value by its kind, and
-``dualrel report`` takes its schedule trace and evaluation-snapshot table
-from it.
+record's fields in file order, with each field's kind (one of
+``datagen.FIELD_KINDS``: the type its text is read as and its range). The
+``iter`` record's loss keys are ``losses.LOSS_NAMES``, which the training
+loop's non-finite check walks too. ``write_log`` writes every record
+through one formatter that reads the table, ``parse_log`` reads and
+range-checks each value with ``datagen.read_field``, and ``dualrel report``
+takes its schedule trace and evaluation-snapshot table from it.
 """
 
 import math
@@ -43,7 +43,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import group_split, head_set, open_atomic, open_text, relations_by_image
+from .datagen import (
+    FIELD_KINDS,
+    group_split,
+    head_set,
+    open_atomic,
+    open_text,
+    read_field,
+    relations_by_image,
+)
 from .losses import (
     LOSS_NAMES,
     LossBreakdown,
@@ -357,21 +365,11 @@ def evaluate(model, test_split, vocab, ks=DEFAULT_KS):
 _LOG_RECORDS = {
     "iter": ({"iteration": "index"},
              {"alpha": "weight", "lambda_head": "weight",
-              **dict.fromkeys(LOSS_NAMES, "loss")}),
+              **dict.fromkeys(LOSS_NAMES, "float")}),
     "eval": ({"iteration": "index", "K": "index"},
              dict.fromkeys(("r", "mr", "m", *GROUP_NAMES), "recall")),
     "evalpred": ({"iteration": "index", "K": "index", "index": "index", "name": "name",
                   "train_count": "count", "recall": "recall"}, {}),
-}
-# kind -> (the type its text is read as, lowest, highest); every float range
-# is finite, so NaN and inf lie outside it, and a recall may be "absent"
-_KINDS = {
-    "index": (int, 1, np.inf),
-    "count": (int, 0, np.inf),
-    "name": (str, None, None),
-    "loss": (float, -np.finfo(float).max, np.finfo(float).max),
-    "weight": (float, 0.0, 1.0),
-    "recall": (float, 0.0, 1.0),
 }
 
 
@@ -382,7 +380,7 @@ def _log_line(record, values):
     cells = [record]
     for (field, kind), value in zip([*positional.items(), *keyed.items()], values):
         text = ("absent" if kind == "recall" and (value is None or math.isnan(value))
-                else str(_KINDS[kind][0](value)))  # str of a float is its repr
+                else str(FIELD_KINDS[kind][0](value)))  # str of a float is its repr
         cells.append(f"{field}={text}" if field in keyed else text)
     return " ".join(cells) + "\n"
 
@@ -405,28 +403,21 @@ def write_log(path, log, vocab):
                                                     vocab.train_counts[i], per_class[i]]))
 
 
-def _log_value(kind, text):
-    """A field's value, read by its kind; ValueError when the text does not
-    read as the kind's type or the value is outside the kind's range."""
-    if kind == "recall" and text == "absent":
-        return None
-    read, low, high = _KINDS[kind]
-    value = read(text)
-    if read is not str and not low <= value <= high:
-        raise ValueError(text)
-    return value
-
-
 def parse_log(path):
     """Parse a training log into (iteration rows, eval rows, per-pred rows).
 
     The header must name ``LOG_FORMAT_VERSION``. A line must hold exactly
     the fields ``write_log`` writes for its record, each value in its kind's
-    range (``_KINDS``); ``iter`` iterations must rise, and each evaluation's
-    per-predicate rows must cover every K. Otherwise one ValueError names
-    the file, the line or iteration, and the field.
+    range (``datagen.FIELD_KINDS``); ``iter`` iterations must rise, no two
+    rows may share a record and index fields (iteration, K, predicate
+    index), and each evaluation's per-predicate rows must cover every K.
+    Otherwise one ValueError names the file, the line or iteration, and the
+    field.
     """
     rows = {record: [] for record in _LOG_RECORDS}
+    # a row's record and index fields (iteration, K, predicate index) ->
+    # the line that holds it
+    lines = {}
     with open_text(path) as fh:
         header = " ".join(fh.readline().split())
         if header != f"# training-log {LOG_FORMAT_VERSION}":
@@ -444,17 +435,12 @@ def parse_log(path):
                       for (field, kind), text in zip(positional.items(), tok[1:])]
             for pair in tok[1 + len(positional):]:
                 key, sep, text = pair.partition("=")
-                if not sep or key not in keys:
+                # a key given twice is one field too many
+                if not sep or key not in keys or key in (f for f, _, _ in fields):
                     raise ValueError(f"{where}: unexpected field {pair!r}")
                 fields.append((key, keys[key], text))
-            row = {}
-            for field, kind, text in fields:
-                try:
-                    row[field] = _log_value(kind, text)
-                except ValueError:
-                    raise ValueError(
-                        f"{where}: field {field} has bad value {text!r}"
-                    ) from None
+            row = {field: read_field(where, field, kind, text)
+                   for field, kind, text in fields}
             missing = [field for field in [*positional, *keys] if field not in row]
             if missing:
                 raise ValueError(f"{where}: field {missing[0]} is missing")
@@ -463,6 +449,13 @@ def parse_log(path):
             ):
                 raise ValueError(f"{where}: iteration {row['iteration']} does not "
                                  f"follow iteration {rows['iter'][-1]['iteration']}")
+            name = f"{tok[0]} row of " + ", ".join(
+                f"{field} {row[field]}" for field, kind in positional.items()
+                if kind == "index"
+            )
+            if name in lines:
+                raise ValueError(f"{where}: the {name} repeats line {lines[name]}")
+            lines[name] = number
             rows[tok[0]].append(row)
     ks = {}
     for row in rows["evalpred"]:

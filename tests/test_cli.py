@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -9,9 +10,8 @@ import numpy as np
 import pytest
 
 import dualrel
-from dualrel import config
 from dualrel.cli import run_command
-from dualrel.config import generator_config_from, parse_kv_file, train_config_from
+from dualrel.config import config_keys, read_config
 from dualrel.datagen import GeneratorConfig, PredicateVocabulary
 from dualrel.losses import LossBreakdown
 from dualrel.metrics import EvalReport
@@ -119,7 +119,7 @@ def test_log_traces_match_schedule_module(workspace):
                  "--out", str(data)])
     run_command(["train", "--config", str(workspace / "train.cfg"),
                  "--data", str(data), "--out", str(run)])
-    cfg = train_config_from(parse_kv_file(workspace / "train.cfg"))
+    cfg = read_config(workspace / "train.cfg", TrainConfig)
     iters, _, _ = parse_log(run / "train.log")
     assert len(iters) == cfg.schedule.total_iterations
     for row in iters:
@@ -192,7 +192,7 @@ def test_eval_truncated_checkpoint_is_one_error_line(workspace, capsys):
     data = workspace / "data"
     assert run_command(["generate", "--config", str(workspace / "gen.cfg"),
                         "--out", str(data)]) == 0
-    gcfg = generator_config_from(parse_kv_file(workspace / "gen.cfg"))
+    gcfg = read_config(workspace / "gen.cfg", GeneratorConfig)
     model = DualBranchModel.build(
         num_object_classes=gcfg.num_object_classes,
         num_predicates=gcfg.num_predicates,
@@ -232,90 +232,112 @@ class TestConfigParsing:
     def test_unknown_generator_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("zipf_exponent=1.2\nwombats=3\n")
-        with pytest.raises(ValueError, match="wombats"):
-            generator_config_from(parse_kv_file(path))
+        with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}, line 2: unknown GeneratorConfig key 'wombats'$"
+        )):
+            read_config(path, GeneratorConfig)
 
     def test_unknown_train_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("learning_rate=0.1\nmomentum=0.9\n")
-        with pytest.raises(ValueError, match="momentum"):
-            train_config_from(parse_kv_file(path))
+        with pytest.raises(ValueError, match="bad.cfg, line 2: .*'momentum'"):
+            read_config(path, TrainConfig)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# a comment\n\nlearning_rate=0.2\n")
-        cfg = train_config_from(parse_kv_file(path))
+        cfg = read_config(path, TrainConfig)
         assert cfg.learning_rate == 0.2
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("learning_rate 0.2\n")
-        with pytest.raises(ValueError, match="key=value"):
-            parse_kv_file(path)
+        path.write_text("# a comment\nlearning_rate 0.2\n")
+        with pytest.raises(ValueError, match=(
+            "bad.cfg, line 2: expected key=value, got 'learning_rate 0.2'"
+        )):
+            read_config(path, TrainConfig)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("seed=1\nseed=2\n")
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_kv_file(path)
+        with pytest.raises(ValueError, match="bad.cfg, line 2: duplicate key 'seed'"):
+            read_config(path, TrainConfig)
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("1", True), ("yes", True), ("TRUE", True), ("Yes", True),
+        ("false", False), ("0", False), ("no", False), ("False", False), ("NO", False),
+    ])
+    def test_bool_words(self, tmp_path, word, value):
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"disable_context={word}\n")
+        assert read_config(path, TrainConfig).disable_context is value
 
     def test_bool_and_kind_coercion(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("disable_context=true\nkind=parabolic\nnu=0.5\n")
-        cfg = train_config_from(parse_kv_file(path))
+        cfg = read_config(path, TrainConfig)
         assert cfg.disable_context is True
         assert cfg.schedule.kind == "parabolic"
 
     def test_bad_bool_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("disable_context=maybe\n")
-        with pytest.raises(ValueError, match="boolean"):
-            train_config_from(parse_kv_file(path))
+        with pytest.raises(ValueError,
+                           match="bad.cfg, line 1: field disable_context has bad value "
+                                 "'maybe', expected a boolean"):
+            read_config(path, TrainConfig)
 
     def test_bad_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("kind=spline\n")
-        with pytest.raises(ValueError, match="kind"):
-            train_config_from(parse_kv_file(path))
+        with pytest.raises(ValueError, match="bad.cfg: unknown schedule kind 'spline'"):
+            read_config(path, TrainConfig)
 
     def test_accepted_keys_are_the_scalar_dataclass_fields(self):
-        assert set(config.GENERATOR_KEYS) == {
+        assert set(config_keys(GeneratorConfig)) == {
             "num_object_classes", "num_head_predicates", "tails_per_head",
             "feature_dim", "zipf_exponent", "tail_offset_scale", "noise_scale",
             "label_noise", "pair_concentration", "num_train", "num_test",
             "relations_per_image", "seed",
         }
-        assert set(config.SCHEDULE_KEYS) == {
+        keys = config_keys(TrainConfig)
+        assert {key for key, (holder, _) in keys.items() if holder == "schedule"} == {
             "k1", "k2", "total_iterations", "beta1", "beta2", "head_threshold",
             "kind", "nu",
         }
-        assert set(config.TRAIN_KEYS) == {
+        train_keys = {key for key, (holder, _) in keys.items() if holder is None}
+        assert train_keys == {
             "tau", "mu", "beta_en", "learning_rate", "batch_size", "hidden_dim",
             "context_dim", "seed", "disable_curriculum", "disable_context",
             "disable_distillation", "log_every", "eval_every",
         }
-        assert len(config.TRAIN_KEYS) == 13
+        assert len(keys) == 8 + 13
 
     def test_coarse_only_is_an_unknown_key(self, tmp_path):
         # the schedule's beta1=1.0 pins the branch weight instead
         path = tmp_path / "bad.cfg"
         path.write_text("coarse_only=true\n")
-        with pytest.raises(ValueError, match="unknown training config key 'coarse_only'"):
-            train_config_from(parse_kv_file(path))
+        with pytest.raises(ValueError, match="unknown TrainConfig key 'coarse_only'"):
+            read_config(path, TrainConfig)
 
     @pytest.mark.parametrize("line", ["eval_ks=5,10", "schedule=linear"])
     def test_non_scalar_fields_are_unknown_keys(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError, match="unknown training config key"):
-            train_config_from(parse_kv_file(path))
+        key = line.split("=")[0]
+        with pytest.raises(ValueError,
+                           match=f"bad.cfg, line 1: unknown TrainConfig key '{key}'"):
+            read_config(path, TrainConfig)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, tmp_path, value):
         path = tmp_path / "bad.cfg"
         path.write_text(f"tail_offset_scale={value}\n")
-        with pytest.raises(ValueError, match="tail_offset_scale.*finite"):
-            generator_config_from(parse_kv_file(path))
+        with pytest.raises(ValueError, match=(
+            f"bad.cfg, line 1: field tail_offset_scale has bad value '{value}', "
+            "expected a finite number"
+        )):
+            read_config(path, GeneratorConfig)
 
     def test_every_key_set_to_a_non_default_value(self, tmp_path):
         def changed(value):
@@ -327,15 +349,18 @@ class TestConfigParsing:
                 return value + 1
             return value / 2 or 0.5
 
-        def read(text, parse):
+        def read(text, cls):
             path = tmp_path / "all.cfg"
             path.write_text(text)
-            return parse(parse_kv_file(path))
+            return read_config(path, cls)
 
+        train_keys = config_keys(TrainConfig)
         defaults = {
-            "generator": (GeneratorConfig(), config.GENERATOR_KEYS),
-            "schedule": (ScheduleConfig(), config.SCHEDULE_KEYS),
-            "train": (TrainConfig(), config.TRAIN_KEYS),
+            "generator": (GeneratorConfig(), config_keys(GeneratorConfig)),
+            "schedule": (ScheduleConfig(), [k for k, (holder, _) in train_keys.items()
+                                            if holder == "schedule"]),
+            "train": (TrainConfig(), [k for k, (holder, _) in train_keys.items()
+                                      if holder is None]),
         }
         values = {
             part: {key: changed(getattr(cfg, key)) for key in keys}
@@ -350,9 +375,9 @@ class TestConfigParsing:
                 f"{k}={v}\n" for part in parts for k, v in values[part].items()
             )
 
-        gen = read(text("generator"), generator_config_from)
+        gen = read(text("generator"), GeneratorConfig)
         assert gen == GeneratorConfig(**values["generator"])
-        trained = read(text("schedule", "train"), train_config_from)
+        trained = read(text("schedule", "train"), TrainConfig)
         assert trained == TrainConfig(
             schedule=ScheduleConfig(**values["schedule"]), **values["train"]
         )
@@ -505,6 +530,14 @@ BAD_INPUTS = [
     # "\udcff" is written as the byte 0xff
     pytest.param("generate", {"seed": "9\udcff"}, ("bad.cfg", "line 8", "UTF-8"),
                  id="config-non-utf8"),
+    pytest.param("generate", {"seed": "x"}, ("line 8", "field seed ", "'x'"),
+                 id="generate-seed=x"),
+    pytest.param("train", {"disable_context": "maybe"},
+                 ("line 10", "field disable_context ", "'maybe'"),
+                 id="disable_context=maybe"),
+    pytest.param("generate", {"wombats": "3"}, ("line 9", "'wombats'"),
+                 id="unknown-key-wombats"),
+    pytest.param("train", {"k1": "5000"}, "k1=5000", id="k1=5000"),
     pytest.param("eval", _renamed_parameter, "decoder.fine.w", id="renamed-parameter"),
     pytest.param("eval", _nan_bias, "decoder.fine.b", id="nan-bias"),
     pytest.param("eval", _zero_hidden_dim, "hidden_dim", id="zero-hidden-dim"),
@@ -523,6 +556,15 @@ BAD_INPUTS = [
                  ("vocab.txt", "line 3", "4 fields"), id="vocab-line-of-3-fields"),
     pytest.param("data", _edit_line("vocab.txt", 5, _set(3, "77")),
                  ("vocab.txt", "line 5", "parent"), id="vocab-parent-77"),
+    pytest.param("data", _edit_line("vocab.txt", 3, _set(2, "x")),
+                 ("vocab.txt", "line 3", "field train_count ", "'x'"),
+                 id="vocab-train_count-x"),
+    pytest.param("data", _edit_line("vocab.txt", 3, _set(2, "-1")),
+                 ("vocab.txt", "line 3", "field train_count ", "'-1'"),
+                 id="vocab-train_count=-1"),
+    pytest.param("data", _edit_line("train.txt", 1, _set(4, "0")),
+                 ("train.txt", "line 1", "field feature_dim ", "'0'"),
+                 id="header-feature_dim=0"),
     pytest.param("data", _header_only("train.txt"), ("train.txt", "no relations"),
                  id="train-header-only"),
     pytest.param("data", _header_only("test.txt"), ("test.txt", "no relations"),
@@ -583,6 +625,14 @@ BAD_INPUTS = [
                  ("line 3", "field train_count "), id="evalpred-train_count=-1"),
     pytest.param("report", f"{ITER_LINE}\n{ITER_LINE}", ("line 3", "iteration 1"),
                  id="iter-repeated"),
+    pytest.param("report", f"{ITER_LINE} alpha=0.5", ("line 2", "'alpha=0.5'"),
+                 id="iter-alpha-twice"),
+    pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE}\n{EVAL_LINE}",
+                 ("line 4", "repeats line 3", "iteration 1, K 20"), id="eval-repeated"),
+    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE}\n"
+                           f"{EVALPRED_LINE.replace(' 0.5', ' 0.25')}",
+                 ("line 4", "repeats line 3", "iteration 1, K 20, index 1"),
+                 id="evalpred-repeated"),
     pytest.param("report", f"{ITER_LINE.replace('iter 1', 'iter 5')}\n{ITER_LINE}",
                  ("line 3", "iteration 1", "iteration 5"), id="iter-goes-down"),
     pytest.param("report", f"# training-log 2\n{ITER_LINE}",
@@ -600,7 +650,7 @@ def test_bad_input_is_one_error_line_and_no_output(
 ):
     out = tmp_path / "out"
     if command in ("eval", "mismatch", "ks"):
-        gcfg = generator_config_from(_config_values(GEN_CFG))
+        gcfg = read_config(generated.parent / "gen.cfg", GeneratorConfig)
         model = DualBranchModel.build(
             num_object_classes=gcfg.num_object_classes,
             num_predicates=gcfg.num_predicates,
@@ -641,7 +691,8 @@ def test_bad_input_is_one_error_line_and_no_output(
         cfg = inputs = tmp_path / "bad.cfg"
         text = _config_text(GEN_CFG if command == "generate" else TRAIN_CFG, **change)
         cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
-        named = [named] if isinstance(named, str) else list(named)
+        # a config fault names the file as well as the key
+        named = [*([named] if isinstance(named, str) else named), str(cfg)]
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if command == "train":
             argv += ["--data", str(generated)]
@@ -698,7 +749,7 @@ def test_eval_test_split_defect_is_one_error_line(generated, tmp_path, capsys,
     data = tmp_path / "data"
     shutil.copytree(generated, data)
     change(data)
-    gcfg = generator_config_from(_config_values(GEN_CFG))
+    gcfg = read_config(generated.parent / "gen.cfg", GeneratorConfig)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, DualBranchModel.build(
         num_object_classes=gcfg.num_object_classes,
