@@ -49,7 +49,7 @@ log = train(cfg, vocab, train_split, model)
 print("\nloss trace (every 50 iterations):")
 for entry in log.entries:
     b = entry.breakdown
-    print(f"  k={entry.iteration:4d} alpha={b.alpha_used:.2f} "
+    print(f"  k={entry.iteration:4d} alpha={entry.alpha:.2f} "
           f"ce={b.l_ce:.3f} crm={b.l_crm:.3f} gap={b.l_sc:.4f} "
           f"kd={b.l_kd:.3f} total={b.l_total:.3f}")
 

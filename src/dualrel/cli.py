@@ -32,6 +32,7 @@ from .metrics import (
     recall_cell,
 )
 from .model import DualBranchModel, check_fit, load_checkpoint, save_checkpoint
+from .numerics import ConfigurationError
 from .training import _LOG_RECORDS, TrainConfig, evaluate, parse_log, train, write_log
 
 
@@ -90,7 +91,10 @@ def _cmd_train(args):
         prior_table=prior.table,
         seed=cfg.seed,
     )
-    log = train(cfg, vocab, train_split, model, eval_instances=test_split)
+    try:
+        log = train(cfg, vocab, train_split, model, eval_instances=test_split)
+    except ConfigurationError as exc:  # the config does not suit this dataset
+        raise ValueError(f"{args.config}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "model.ckpt"), model)
     write_log(os.path.join(args.out, "train.log"), log, vocab)

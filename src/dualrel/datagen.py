@@ -90,6 +90,12 @@ class GeneratorConfig:
             )
         if not self.zipf_exponent > 0:
             raise ConfigurationError("zipf_exponent must be positive")
+        zipf_allocation(self.num_predicates, self.zipf_exponent, self.num_train)
+        if not self.num_test >= self.num_predicates:
+            raise ConfigurationError(
+                f"num_test={self.num_test} is too small for a class-balanced split "
+                f"over {self.num_predicates} predicates"
+            )
         for name in ("tail_offset_scale", "noise_scale"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
@@ -189,8 +195,8 @@ def zipf_allocation(num_classes, exponent, total):
     counts[order[:remainder]] += 1
     if counts.min() <= 0:
         raise ConfigurationError(
-            f"zipf allocation gives zero samples to the rarest class "
-            f"({num_classes} classes, exponent {exponent}, total {total})"
+            f"zipf_exponent={exponent} gives zero samples to the rarest of "
+            f"{num_classes} classes at num_train={total}"
         )
     return counts
 
@@ -322,13 +328,7 @@ def generate_dataset(cfg):
                              n_obj, d)
 
     train = split(vocab.train_counts[1:])
-    per_class = cfg.num_test // n_pred
-    if per_class < 1:
-        raise ConfigurationError(
-            f"num_test={cfg.num_test} is too small for a class-balanced split "
-            f"over {n_pred} predicates"
-        )
-    test = split(per_class)
+    test = split(cfg.num_test // n_pred)
     return vocab, train, test
 
 
@@ -458,6 +458,9 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 def read_field(where, field, kind, text):
     """The value of one text field, read by its kind (``FIELD_KINDS``); a
     recall may be ``absent`` (None) and a bool's word may be in any case.
+    A number is ASCII text without ``_``: the form every writer produces
+    (``int`` and ``float`` would also take other scripts' digits and digit
+    group underscores).
 
     Text that does not read as the kind's type, or a value outside the
     kind's range, raises one ValueError that names ``where`` (a file and
@@ -467,6 +470,8 @@ def read_field(where, field, kind, text):
     if kind == "recall" and text == "absent":
         return None
     try:
+        if read in (int, float) and (not text.isascii() or "_" in text):
+            raise ValueError(text)
         value = _BOOL_WORDS[text.lower()] if read is bool else read(text)
         if low is not None and not low <= value <= high:
             raise ValueError(text)

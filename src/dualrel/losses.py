@@ -135,8 +135,7 @@ class LossBreakdown:
     l_sc: float
     l_kd: float
     l_total: float
-    alpha_used: float
 
 
 # the loss components l_ce ... l_total, in field order
-LOSS_NAMES = tuple(f.name for f in fields(LossBreakdown) if f.name != "alpha_used")
+LOSS_NAMES = tuple(f.name for f in fields(LossBreakdown))

@@ -30,16 +30,18 @@ The snapshots taken during training are at ``metrics.DEFAULT_KS``.
 
 ``_LOG_RECORDS`` is the one statement of the train.log format: each
 record's fields in file order, with each field's kind (one of
-``datagen.FIELD_KINDS``: the type its text is read as and its range). The
-``iter`` record's loss keys are ``losses.LOSS_NAMES``, which the training
-loop's non-finite check walks too. ``write_log`` writes every record
-through one formatter that reads the table, ``parse_log`` reads and
-range-checks each value with ``datagen.read_field``, and ``dualrel report``
-takes its schedule trace and evaluation-snapshot table from it.
+``datagen.FIELD_KINDS``: the type its text is read as and its range). A
+``LogEntry`` is exactly an ``iter`` record, its fields in file order; the
+record's loss keys are ``losses.LOSS_NAMES``, ``LossBreakdown``'s fields,
+which the training loop's non-finite check walks too. ``write_log``
+writes every record through one formatter that reads the table,
+``parse_log`` reads and range-checks each value with
+``datagen.read_field``, and ``dualrel report`` takes its schedule trace
+and evaluation-snapshot table from it.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,9 +120,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LogEntry:
+    """One ``iter`` record of train.log: its fields in file order, the loss
+    fields in the breakdown."""
+
     iteration: int
-    breakdown: LossBreakdown
+    alpha: float
     lambda_head: float
+    breakdown: LossBreakdown
 
 
 @dataclass
@@ -153,7 +159,7 @@ class _BatchContext:
     n_images: int
     disable_curriculum: bool = False
     disable_context: bool = False
-    distillation_on: bool = True
+    disable_distillation: bool = False
     # test hooks: freeze the constant-treated quantities so finite
     # differences see exactly the function the analytic gradient implements
     frozen_teachers: list = None
@@ -206,7 +212,7 @@ def batch_forward_backward(model, batch, ctx):
             crm_sum += loss
         grad_output *= (1.0 - ctx.alpha) / ctx.n_relations
 
-        if ctx.distillation_on:
+        if not ctx.disable_distillation:
             teacher = (
                 np.stack(ctx.frozen_teachers[start:stop]) if ctx.frozen_teachers
                 else coarse
@@ -230,58 +236,30 @@ def batch_forward_backward(model, batch, ctx):
     return ce_sum, crm_sum, sc_sum, kd_sum
 
 
-def _constant_context(cfg, vocab):
-    """The fields of every iteration's _BatchContext that do not change;
-    distillation over fewer than two head predicates is refused here."""
-    heads = np.asarray(head_set(vocab, cfg.schedule.head_threshold), dtype=np.int64)
-    if not cfg.disable_distillation and len(heads) < 2:
-        raise ConfigurationError(
-            "distillation needs at least two head predicates; raise or "
-            "lower head_threshold, or disable distillation"
-        )
-    head_mask = np.zeros(vocab.num_predicates + 1, dtype=bool)
-    head_mask[heads] = True
-    return _BatchContext(
-        alpha=1.0,
-        lambda_head=1.0,
-        class_weights=effective_number_weights(vocab.train_counts, cfg.beta_en),
-        head_indices=heads,
-        head_mask=head_mask,
-        tau=cfg.tau,
-        mu=cfg.mu,
-        n_relations=0,
-        n_images=0,
-        disable_curriculum=cfg.disable_curriculum,
-        disable_context=cfg.disable_context,
-        distillation_on=not cfg.disable_distillation,
-    )
-
-
-def _make_context(cfg, constants, k, batch):
-    """Iteration k's _BatchContext: its schedule values and batch sizes."""
-    sched = cfg.schedule
-    return replace(
-        constants,
-        alpha=branch_weight(k, sched),
-        lambda_head=head_predicate_weight(k, True, sched),
-        n_relations=sum(len(image) for image in batch),
-        n_images=len(batch),
-    )
-
-
 def train(cfg, vocab, train_split, model, eval_instances=None):
     """Run the curriculum loop; mutates the model, returns the TrainLog.
 
-    When eval_instances is given, an evaluation snapshot at
-    ``metrics.DEFAULT_KS`` is appended every eval_every iterations (if
-    nonzero) and at the end of training. Both splits must fit the model
-    (``model.check_fit``).
+    Iteration k's ``_BatchContext`` holds the schedule's branch weight and
+    head weight at k and the batch's sizes. A LogEntry is appended at the
+    last iteration and at every multiple of log_every; when eval_instances
+    is given, an evaluation snapshot at ``metrics.DEFAULT_KS`` is appended
+    at the last iteration and at every multiple of eval_every (if nonzero).
+    Both splits must fit the model (``model.check_fit``).
     """
     sched = cfg.schedule
     for split in (train_split, eval_instances):
         if split is not None:
             check_fit(model, vocab, split)
-    constants = _constant_context(cfg, vocab)
+    heads = np.asarray(head_set(vocab, sched.head_threshold), dtype=np.int64)
+    if not cfg.disable_distillation and len(heads) < 2:
+        raise ConfigurationError(
+            f"head_threshold={sched.head_threshold} leaves {len(heads)} head "
+            "predicates, and distillation needs at least two head predicates; "
+            "lower head_threshold or set disable_distillation"
+        )
+    head_mask = np.zeros(vocab.num_predicates + 1, dtype=bool)
+    head_mask[heads] = True
+    class_weights = effective_number_weights(vocab.train_counts, cfg.beta_en)
     images = relations_by_image(train_split)
     if not images:
         raise ValueError("training split is empty")
@@ -293,7 +271,20 @@ def train(cfg, vocab, train_split, model, eval_instances=None):
             len(images), size=min(cfg.batch_size, len(images)), replace=False
         )
         batch = [images[i] for i in chosen]
-        ctx = _make_context(cfg, constants, k, batch)
+        ctx = _BatchContext(
+            alpha=branch_weight(k, sched),
+            lambda_head=head_predicate_weight(k, True, sched),
+            class_weights=class_weights,
+            head_indices=heads,
+            head_mask=head_mask,
+            tau=cfg.tau,
+            mu=cfg.mu,
+            n_relations=sum(len(image) for image in batch),
+            n_images=len(batch),
+            disable_curriculum=cfg.disable_curriculum,
+            disable_context=cfg.disable_context,
+            disable_distillation=cfg.disable_distillation,
+        )
         model.store.zero_grads()
         ce_sum, crm_sum, sc_sum, kd_sum = batch_forward_backward(model, batch, ctx)
         l_ce = ce_sum / ctx.n_relations
@@ -302,24 +293,18 @@ def train(cfg, vocab, train_split, model, eval_instances=None):
         l_kd = kd_sum / ctx.n_relations
         l_hybrid = hybrid_loss(ctx.alpha, l_ce, l_crm)
         l_total = total_loss(l_hybrid, l_sc, l_kd, cfg.mu)
-        breakdown = LossBreakdown(l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total, ctx.alpha)
+        breakdown = LossBreakdown(l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total)
         for name in LOSS_NAMES:
             if not np.isfinite(getattr(breakdown, name)):
                 raise TrainingDiverged(k, name)
         model.store.sgd_step(cfg.learning_rate)
-        if k % cfg.log_every == 0 or k == sched.total_iterations:
-            log.entries.append(LogEntry(k, breakdown, ctx.lambda_head))
-        if (
-            eval_instances is not None
-            and cfg.eval_every
-            and k % cfg.eval_every == 0
-            and k < sched.total_iterations
+        last = k == sched.total_iterations
+        if last or k % cfg.log_every == 0:
+            log.entries.append(LogEntry(k, ctx.alpha, ctx.lambda_head, breakdown))
+        if eval_instances is not None and (
+            last or cfg.eval_every and k % cfg.eval_every == 0
         ):
             log.eval_snapshots.append((k, evaluate(model, eval_instances, vocab)))
-    if eval_instances is not None:
-        log.eval_snapshots.append(
-            (sched.total_iterations, evaluate(model, eval_instances, vocab))
-        )
     return log
 
 
@@ -389,9 +374,8 @@ def write_log(path, log, vocab):
     with open_atomic(path) as fh:
         fh.write(f"# training-log {LOG_FORMAT_VERSION}\n")
         for entry in log.entries:
-            b = entry.breakdown
-            fh.write(_log_line("iter", [entry.iteration, b.alpha_used, entry.lambda_head,
-                                        *(getattr(b, name) for name in LOSS_NAMES)]))
+            fh.write(_log_line("iter", [entry.iteration, entry.alpha, entry.lambda_head,
+                                        *vars(entry.breakdown).values()]))
         for iteration, report in log.eval_snapshots:
             for k in report.ks:
                 fh.write(_log_line("eval", [iteration, k, report.r_at_k[k],

@@ -135,8 +135,8 @@ def _hand_built_log():
     vocab = PredicateVocabulary(["__background__", "on", "has", "near"],
                                 np.array([0, 9, 4, 1]), np.array([0, 1, 2, 1]))
     entries = [
-        LogEntry(k, LossBreakdown(l_ce, l_crm, l_hybrid, 0.0, 1e-05, l_total, alpha),
-                 lambda_head)
+        LogEntry(k, alpha, lambda_head,
+                 LossBreakdown(l_ce, l_crm, l_hybrid, 0.0, 1e-05, l_total))
         for k, alpha, lambda_head, l_ce, l_crm, l_hybrid, l_total in [
             (1, 1.0, 1.0, 2.5, 2.75, 2.5, 2.50002),
             (2, 0.55, 0.9, 0.1 + 0.2, 1 / 3, 0.3150000000000001, 1.2345678901234567),
@@ -532,12 +532,21 @@ BAD_INPUTS = [
                  id="config-non-utf8"),
     pytest.param("generate", {"seed": "x"}, ("line 8", "field seed ", "'x'"),
                  id="generate-seed=x"),
+    # a number is ASCII without digit-group underscores
+    pytest.param("generate", {"seed": "1_0"}, ("line 8", "field seed ", "'1_0'"),
+                 id="generate-seed=1_0"),
+    pytest.param("generate", {"num_test": "5"}, "num_test=5", id="num_test=5"),
+    pytest.param("generate", {"num_train": "60", "zipf_exponent": "5"},
+                 ("zipf_exponent=5.0", "num_train=60"), id="zipf-starves-the-tail"),
     pytest.param("train", {"disable_context": "maybe"},
                  ("line 10", "field disable_context ", "'maybe'"),
                  id="disable_context=maybe"),
     pytest.param("generate", {"wombats": "3"}, ("line 9", "'wombats'"),
                  id="unknown-key-wombats"),
     pytest.param("train", {"k1": "5000"}, "k1=5000", id="k1=5000"),
+    pytest.param("train", {"head_threshold": "100000"},
+                 ("head_threshold=100000", "disable_distillation"),
+                 id="head_threshold=100000"),
     pytest.param("eval", _renamed_parameter, "decoder.fine.w", id="renamed-parameter"),
     pytest.param("eval", _nan_bias, "decoder.fine.b", id="nan-bias"),
     pytest.param("eval", _zero_hidden_dim, "hidden_dim", id="zero-hidden-dim"),
@@ -562,6 +571,9 @@ BAD_INPUTS = [
     pytest.param("data", _edit_line("vocab.txt", 3, _set(2, "-1")),
                  ("vocab.txt", "line 3", "field train_count ", "'-1'"),
                  id="vocab-train_count=-1"),
+    pytest.param("data", _edit_line("vocab.txt", 3, _set(2, "\u0661\u0660")),
+                 ("vocab.txt", "line 3", "field train_count ", "'\u0661\u0660'"),
+                 id="vocab-train_count-arabic-indic-10"),
     pytest.param("data", _edit_line("train.txt", 1, _set(4, "0")),
                  ("train.txt", "line 1", "field feature_dim ", "'0'"),
                  id="header-feature_dim=0"),
@@ -603,6 +615,8 @@ BAD_INPUTS = [
                  ("line 2", "field alpha "), id="alpha=nan"),
     pytest.param("report", ITER_LINE.replace("l_ce=1.0", "l_ce=inf"),
                  ("line 2", "field l_ce "), id="l_ce=inf"),
+    pytest.param("report", ITER_LINE.replace("l_ce=1.0", "l_ce=1_0"),
+                 ("line 2", "field l_ce ", "'1_0'"), id="l_ce=1_0"),
     pytest.param("report", ITER_LINE.replace("l_total=1.0", "l_total=-inf"),
                  ("line 2", "field l_total "), id="l_total=-inf"),
     pytest.param("report", ITER_LINE.replace("alpha=1.0", "alpha=1.5"),

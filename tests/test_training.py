@@ -1,7 +1,7 @@
 import copy
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from dualrel.datagen import (
     head_set,
     relations_by_image,
 )
-from dualrel.losses import effective_number_weights
+from dualrel.losses import LOSS_NAMES, effective_number_weights
 from dualrel.metrics import (
     DEFAULT_KS,
     EvalReport,
@@ -34,6 +34,8 @@ from dualrel.numerics import ConfigurationError, grad_check, softmax
 from dualrel.schedules import ScheduleConfig
 from dualrel.semantic_context import target_global_token
 from dualrel.training import (
+    _LOG_RECORDS,
+    LogEntry,
     TrainConfig,
     TrainingDiverged,
     _BatchContext,
@@ -241,7 +243,7 @@ class TestStackedStep:
         [
             dict(disable_context=True),
             dict(disable_context=True, disable_curriculum=True,
-                 distillation_on=False),
+                 disable_distillation=True),
         ],
     )
     def test_context_off_matches_per_image_calls_bitwise(self, dataset, flags):
@@ -280,9 +282,9 @@ class TestTrainLoop:
             b = entry.breakdown
             assert abs(b.l_total - (b.l_hybrid + b.l_sc + cfg.mu * b.l_kd)) <= 1e-10
             if entry.iteration <= SCHED.k1:
-                assert b.alpha_used == 1.0
+                assert entry.alpha == 1.0
         # alpha plateau after k2
-        assert log.entries[-1].breakdown.alpha_used == SCHED.beta1
+        assert log.entries[-1].alpha == SCHED.beta1
 
     def test_training_a_deepcopy_leaves_the_original_unchanged(self, dataset, tmp_path):
         vocab, train_split, _ = dataset
@@ -325,7 +327,7 @@ class TestTrainLoop:
         )
         for entry in log.entries:
             b = entry.breakdown
-            assert b.alpha_used == 1.0
+            assert entry.alpha == 1.0
             # the fine branch's cross-entropy is logged at zero weight
             assert b.l_crm > 0.0
             assert b.l_kd == 0.0 and b.l_sc == 0.0
@@ -537,7 +539,7 @@ class TestTrainLogIO:
         for row, entry in zip(iters, log.entries):
             assert row["iteration"] == entry.iteration
             assert row["l_total"] == entry.breakdown.l_total
-            assert row["alpha"] == entry.breakdown.alpha_used
+            assert row["alpha"] == entry.alpha
             assert row["lambda_head"] == entry.lambda_head
         assert {row["iteration"] for row in evals} == {15, 30}
         assert [row["K"] for row in evals] == [*DEFAULT_KS] * 2
@@ -547,6 +549,35 @@ class TestTrainLogIO:
                 assert row["r"] == final.r_at_k[20]
         names = {row["name"] for row in evalpreds}
         assert vocab.names[1] in names
+
+    @pytest.mark.parametrize("eval_every, iterations", [
+        (0, [30]),
+        (7, [7, 14, 21, 28, 30]),
+        (15, [15, 30]),
+        (30, [30]),
+    ])
+    def test_snapshots_at_each_multiple_of_eval_every_and_the_last(
+        self, dataset, eval_every, iterations
+    ):
+        vocab, train_split, test_split = dataset
+        cfg = small_config(eval_every=eval_every)
+        model = build_model(dataset, cfg)
+        log = train(cfg, vocab, train_split, model, eval_instances=test_split)
+        assert [k for k, _ in log.eval_snapshots] == iterations
+
+    def test_entries_at_each_multiple_of_log_every_and_the_last(self, dataset):
+        vocab, train_split, _ = dataset
+        cfg = small_config(log_every=7)
+        model = build_model(dataset, cfg)
+        log = train(cfg, vocab, train_split, model)
+        assert [entry.iteration for entry in log.entries] == [7, 14, 21, 28, 30]
+        assert log.eval_snapshots == []
+
+    def test_a_log_entry_holds_the_iter_record_fields_in_file_order(self):
+        positional, keyed = _LOG_RECORDS["iter"]
+        *head, breakdown = (f.name for f in fields(LogEntry))
+        assert breakdown == "breakdown"
+        assert [*head, *LOSS_NAMES] == [*positional, *keyed]
 
 
 class TestTrainConfig:
