@@ -109,8 +109,9 @@ def _cmd_train(args):
 
 
 def _parse_ks(text):
-    """The K values of ``--ks``, checked by ``metrics.check_ks``."""
-    ks = [read_field("--ks", "K", "int", part) for part in text.split(",") if part]
+    """The K values of ``--ks``, checked by ``metrics.check_ks``; an empty
+    item is a bad K."""
+    ks = [read_field("--ks", "K", "int", part) for part in text.split(",")]
     try:
         check_ks(ks)
     except ValueError as exc:

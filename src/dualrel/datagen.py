@@ -14,6 +14,11 @@ encoder sees coherent relation sets, and each image's subject-object pairs
 are drawn from per-head-group canonical pairs, which gives the frequency
 prior the same head-favoring shape it has on real scene-graph data.
 
+``generator_parameters`` states those parameters as arrays, in the order
+they are drawn: the object anchors, the pattern anchors (each predicate's
+head anchor, plus a tail's offset) and each head's canonical pair.
+``generate_dataset`` calls it, then draws each split's rows.
+
 A relation row's layout is stated once, by ``feature_widths``. A relation
 file's header records its table's own num_object_classes and feature_dim.
 
@@ -261,6 +266,30 @@ def _assign_images(rng, parents, relations_per_image):
     return packed, image_ids
 
 
+def generator_parameters(cfg, vocab, rng):
+    """(obj_anchors, pattern_anchors, canonical_pairs), drawn from ``rng``
+    in this order: object anchors, head anchors, tail offsets, then each
+    head's canonical subject and object.
+
+    A predicate's pattern anchor is its head's anchor, plus its own offset
+    for a tail; the background's row is zero. ``canonical_pairs`` is the
+    (H + 1, 2) int64 array of each head's (subject, object); row 0 is unused.
+    """
+    n_obj, d = cfg.num_object_classes, cfg.feature_dim
+    obj_anchors = rng.standard_normal((n_obj + 1, d))
+    head_anchors = rng.standard_normal((cfg.num_head_predicates + 1, d))
+    offsets = rng.standard_normal((cfg.num_predicates + 1, d)) * cfg.tail_offset_scale
+    rows = np.arange(len(vocab.parent_of))
+    tails = rows[(vocab.parent_of > 0) & (vocab.parent_of != rows)]
+    pattern_anchors = head_anchors[vocab.parent_of]
+    pattern_anchors[0] = 0.0
+    pattern_anchors[tails] += offsets[tails]
+    canonical_pairs = np.zeros((cfg.num_head_predicates + 1, 2), dtype=np.int64)
+    for pair in canonical_pairs[1:]:
+        pair[:] = rng.integers(1, n_obj + 1), rng.integers(1, n_obj + 1)
+    return obj_anchors, pattern_anchors, canonical_pairs
+
+
 def generate_dataset(cfg):
     """Build (vocabulary, train split, test split); bit-identical per seed."""
     vocab = _build_vocabulary(cfg)
@@ -268,22 +297,7 @@ def generate_dataset(cfg):
     d = cfg.feature_dim
     n_obj = cfg.num_object_classes
     n_pred = cfg.num_predicates
-
-    obj_anchors = rng.standard_normal((n_obj + 1, d))
-    head_anchors = rng.standard_normal((cfg.num_head_predicates + 1, d))
-    offsets = rng.standard_normal((n_pred + 1, d)) * cfg.tail_offset_scale
-    pattern_anchors = np.zeros((n_pred + 1, d))
-    for i in range(1, n_pred + 1):
-        parent = vocab.parent_of[i]
-        pattern_anchors[i] = head_anchors[parent]
-        if i != parent:
-            pattern_anchors[i] += offsets[i]
-    canonical_pairs = {}
-    for h in range(1, cfg.num_head_predicates + 1):
-        canonical_pairs[h] = (
-            int(rng.integers(1, n_obj + 1)),
-            int(rng.integers(1, n_obj + 1)),
-        )
+    obj_anchors, pattern_anchors, canonical_pairs = generator_parameters(cfg, vocab, rng)
 
     def split(per_predicate):
         """per_predicate relations of each predicate, packed into images.
@@ -298,19 +312,14 @@ def generate_dataset(cfg):
         parents = vocab.parent_of[predicates]
         n, widths = len(predicates), feature_widths(n_obj, d)
         features = sum(widths[:3])  # the label distributions follow
-        pairs = []
+        pairs = canonical_pairs[parents]
         x = np.empty((n, sum(widths)))
-        for parent, noise, dist_noise in zip(parents.tolist(), x[:, :features],
-                                             x[:, features:]):
-            if rng.random() < cfg.pair_concentration:
-                pairs.append(canonical_pairs[parent])
-            else:
-                pairs.append((int(rng.integers(1, n_obj + 1)),
-                              int(rng.integers(1, n_obj + 1))))
+        for pair, noise, dist_noise in zip(pairs, x[:, :features], x[:, features:]):
+            if rng.random() >= cfg.pair_concentration:
+                pair[:] = rng.integers(1, n_obj + 1), rng.integers(1, n_obj + 1)
             rng.standard_normal(out=noise)
             rng.random(out=dist_noise)
-        ids = np.column_stack([np.array(pairs, dtype=np.int64).reshape(n, 2),
-                               predicates])
+        ids = np.column_stack([pairs, predicates])
         # features: anchor + noise_scale * noise, one (n, d) gather at a time
         x[:, :features] *= cfg.noise_scale
         for block, (anchors, index) in enumerate(((obj_anchors, ids[:, 0]),
@@ -660,12 +669,13 @@ def save_dataset(directory, vocab, train, test):
 
 def load_split(directory, name, vocab):
     """Load the relation file ``name`` of a dataset directory whose
-    vocabulary is ``vocab``; a file with no relations, or a header whose
-    num_predicates differs from the vocabulary's, raises one ValueError."""
+    vocabulary is ``vocab``; a file with no relation whose gt_predicate is
+    above 0 (background only, or empty), or a header whose num_predicates
+    differs from the vocabulary's, raises one ValueError."""
     path = os.path.join(directory, name)
     table, n_pred = load_relations(path)
-    if not len(table):
-        raise ValueError(f"{path}: holds no relations")
+    if not (table.ids[:, 3] > 0).any():
+        raise ValueError(f"{path}: holds no relations with gt_predicate above 0")
     if n_pred != vocab.num_predicates:
         raise ValueError(
             f"{directory}: vocab.txt has {vocab.num_predicates} predicates, "

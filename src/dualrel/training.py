@@ -394,7 +394,10 @@ def parse_log(path):
     the fields ``write_log`` writes for its record, each value in its kind's
     range (``datagen.FIELD_KINDS``); ``iter`` iterations must rise, no two
     rows may share a record and index fields (iteration, K, predicate
-    index), and each evaluation's per-predicate rows must cover every K.
+    index), and the evaluation rows must form the grid ``write_log``
+    writes: at each evaluated iteration the ``eval`` and ``evalpred`` rows
+    have the same Ks, at each K the ``evalpred`` indices are 1..P with one
+    P for the whole log, and each index has one name and one train count.
     Otherwise one ValueError names the file, the line or iteration, and the
     field.
     """
@@ -402,6 +405,8 @@ def parse_log(path):
     # a row's record and index fields (iteration, K, predicate index) ->
     # the line that holds it
     lines = {}
+    # predicate index -> (its first evalpred row, that row's line)
+    predicates = {}
     with open_text(path) as fh:
         header = " ".join(fh.readline().split())
         if header != f"# training-log {LOG_FORMAT_VERSION}":
@@ -440,16 +445,29 @@ def parse_log(path):
             if name in lines:
                 raise ValueError(f"{where}: the {name} repeats line {lines[name]}")
             lines[name] = number
+            if tok[0] == "evalpred":
+                first, line_no = predicates.setdefault(row["index"], (row, number))
+                for field in ("name", "train_count"):
+                    if row[field] != first[field]:
+                        raise ValueError(
+                            f"{where}: field {field} of predicate index {row['index']} "
+                            f"is {row[field]!r}, line {line_no} gives {first[field]!r}"
+                        )
             rows[tok[0]].append(row)
-    ks = {}
+    grid = {}  # (iteration, K) -> the predicate indices of its evalpred rows
     for row in rows["evalpred"]:
-        ks.setdefault(row["iteration"], set()).add(row["K"])
-    seen = {(row["iteration"], row["index"], row["K"]) for row in rows["evalpred"]}
-    for iteration, index, _ in sorted(seen):
-        for k in sorted(ks[iteration]):
-            if (iteration, index, k) not in seen:
-                raise ValueError(
-                    f"{path}: the evalpred rows of iteration {iteration} have no "
-                    f"K={k} row for predicate index {index}"
-                )
+        grid.setdefault((row["iteration"], row["K"]), set()).add(row["index"])
+    every = set(range(1, max(predicates, default=0) + 1))
+    for (iteration, k), indices in sorted(grid.items()):
+        if indices != every:
+            raise ValueError(
+                f"{path}: the evalpred rows of iteration {iteration} have no "
+                f"K={k} row for predicate index {min(every - indices)}"
+            )
+    evaluated = {(row["iteration"], row["K"]) for row in rows["eval"]}
+    unmatched = sorted(evaluated ^ grid.keys())
+    if unmatched:
+        iteration, k = unmatched[0]
+        record = "evalpred" if (iteration, k) in evaluated else "eval"
+        raise ValueError(f"{path}: iteration {iteration} has no {record} row at K={k}")
     return rows["iter"], rows["eval"], rows["evalpred"]

@@ -474,6 +474,20 @@ def _header_only(name):
     return change
 
 
+def _background_only(name):
+    """A dataset defect: every relation of one file has gt_predicate 0."""
+
+    def change(data):
+        path = data / name
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split() for line in lines]
+        for tokens in rows:
+            tokens[3] = "0"
+        path.write_text("\n".join([header, *map(" ".join, rows)]) + "\n")
+
+    return change
+
+
 def _set(column, value):
     def edit(tokens):
         tokens[column] = value(tokens[column]) if callable(value) else value
@@ -509,6 +523,22 @@ EVALPRED_LINE = "evalpred 1 20 1 a 3 0.5"
 # predicate 2 has no K=10 row
 EVALPRED_LINES = "\n".join(["evalpred 10 5 1 a 3 0.5", "evalpred 10 10 1 a 3 0.5",
                             "evalpred 10 5 2 b 2 0.5"])
+
+# two snapshots (iterations 1 and 2, K = 20 and 50) of a two-predicate
+# evaluation grid, laid out as write_log writes it: lines 3-5, 6-8, 9-11, 12-14
+GRID_LOG = "\n".join([ITER_LINE, *(
+    line
+    for iteration in (1, 2) for k in (20, 50)
+    for line in [EVAL_LINE.replace("eval 1 20 ", f"eval {iteration} {k} "),
+                 f"evalpred {iteration} {k} 1 a 3 0.5",
+                 f"evalpred {iteration} {k} 2 b 2 0.5"]
+)])
+
+
+def _without(text, *starts):
+    """``text`` without its lines that begin with one of ``starts``."""
+    return "\n".join(line for line in text.split("\n") if not line.startswith(starts))
+
 
 # GEN_CFG relation lines: 4 ids, 3 x 8 features, 2 x 7 label distributions
 SUBJECT_DIST = slice(4 + 3 * 8, 4 + 3 * 8 + 7)
@@ -581,6 +611,10 @@ BAD_INPUTS = [
                  id="train-header-only"),
     pytest.param("data", _header_only("test.txt"), ("test.txt", "no relations"),
                  id="test-header-only"),
+    pytest.param("data", _background_only("train.txt"), ("train.txt", "gt_predicate"),
+                 id="train-background-only"),
+    pytest.param("data", _background_only("test.txt"), ("test.txt", "gt_predicate"),
+                 id="test-background-only"),
     pytest.param("data", _non_utf8("vocab.txt", 4), ("vocab.txt", "line 4", "UTF-8"),
                  id="vocab-non-utf8"),
     # line 200 is past the header's read buffer: np.loadtxt meets the byte
@@ -593,6 +627,9 @@ BAD_INPUTS = [
     pytest.param("ks", "2.5", ("--ks", "'2.5'"), id="ks-2.5"),
     pytest.param("ks", "0", ("--ks", "0"), id="ks-0"),
     pytest.param("ks", "5,-3", ("--ks", "-3"), id="ks-negative"),
+    pytest.param("ks", "20,,50", ("--ks", "field K ", "''"), id="ks-empty-middle-item"),
+    pytest.param("ks", "20,", ("--ks", "field K ", "''"), id="ks-empty-last-item"),
+    pytest.param("ks", ",20", ("--ks", "field K ", "''"), id="ks-empty-first-item"),
     pytest.param("mismatch", _model_with(num_predicates=4), "num_predicates",
                  id="4-predicate-checkpoint"),
     pytest.param("mismatch", _model_with(num_object_classes=8), "num_object_classes",
@@ -610,6 +647,20 @@ BAD_INPUTS = [
                  id="eval-field-without-value"),
     pytest.param("report", EVALPRED_LINES, ("iteration 10", "K=10", "index 2"),
                  id="evalpred-missing-a-k"),
+    pytest.param("report", _without(GRID_LOG, "evalpred 2 20 1 ", "evalpred 2 50 1 "),
+                 ("iteration 2", "K=20", "index 1"),
+                 id="evalpred-index-missing-at-an-iteration"),
+    pytest.param("report", _without(GRID_LOG, "eval 2 50 "),
+                 ("iteration 2", "no eval row", "K=50"), id="eval-row-missing"),
+    pytest.param("report", _without(GRID_LOG, "evalpred 2 50 "),
+                 ("iteration 2", "no evalpred row", "K=50"),
+                 id="eval-row-without-evalpred"),
+    pytest.param("report", GRID_LOG.replace("evalpred 1 50 2 b", "evalpred 1 50 2 c"),
+                 ("line 8", "field name ", "index 2", "line 5"),
+                 id="evalpred-name-differs"),
+    pytest.param("report", GRID_LOG.replace("evalpred 2 20 1 a 3", "evalpred 2 20 1 a 4"),
+                 ("line 10", "field train_count ", "index 1", "line 4"),
+                 id="evalpred-train_count-differs"),
     pytest.param("report", f"{ITER_LINE}\udcff", ("line 2", "UTF-8"), id="log-non-utf8"),
     pytest.param("report", ITER_LINE.replace("alpha=1.0", "alpha=nan"),
                  ("line 2", "field alpha "), id="alpha=nan"),
@@ -753,6 +804,8 @@ def test_eval_report_does_not_depend_on_train_txt(workspace):
                                                   SUBJECT_DIST.stop, 5.0)),
                  ["{data}/test.txt", "line 4", "subject_label_dist"],
                  id="label-dist-sums-to-5"),
+    pytest.param(_background_only("test.txt"), ["{data}/test.txt", "gt_predicate"],
+                 id="background-only"),
     # a header num_predicates of 9 lets every body line pass its own checks
     pytest.param(_edit_line("test.txt", 1, _set(3, "9")),
                  ["{data}:", "vocab.txt has 6 predicates", "test.txt 9"],

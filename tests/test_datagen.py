@@ -508,8 +508,9 @@ class TestDatasetFiles:
         assert table.x.shape == (0, 25)
 
 
-# criterion 8's generator config (tests/test_acceptance.py GEN_CFG) and the
-# benchmark's cli_pipeline data, GeneratorConfig(seed=1)
+# criterion 8's generator config (tests/test_acceptance.py GEN_CFG), the
+# benchmark's cli_pipeline data, GeneratorConfig(seed=1), and criterion 8's
+# config with no tails or an all-or-nothing pair draw
 GOLDEN_DATASETS = {
     "criterion-8": (
         GeneratorConfig(num_object_classes=8, num_head_predicates=4,
@@ -527,6 +528,41 @@ GOLDEN_DATASETS = {
             "vocab.txt": "298092007180074257dd442af83476f2dc26fb7e246ff16dbbb0260157113502",
             "train.txt": "0c46d23b82cdf9a793031bf5cb3d4bf6904778f3195fa8f0e283338ad50c9440",
             "test.txt": "d39cc56e500a78d67a1f3921cf9b21698afdafe3af0226b13211bfec50016223",
+        },
+    ),
+    # an empty tail index
+    "criterion-8-tails_per_head=0": (
+        GeneratorConfig(num_object_classes=8, num_head_predicates=4,
+                        tails_per_head=0, feature_dim=8, num_train=600,
+                        num_test=120, relations_per_image=6, seed=13),
+        {
+            "vocab.txt": "7799983cbe6673198851ad3c78bcca070bc742fc2a86765ca9b02a33f47be4fd",
+            "train.txt": "1cf86db5e8c4b1f98d6337efecd4f4066f5e3dc04148f68f0b22ce2f73f7f12d",
+            "test.txt": "a3e505d3eb4f39b25f88e8bd817ab4e15e215db734ec9e91a2df342c9aa430ee",
+        },
+    ),
+    # no pair redrawn
+    "criterion-8-pair_concentration=1.0": (
+        GeneratorConfig(num_object_classes=8, num_head_predicates=4,
+                        tails_per_head=2, feature_dim=8, num_train=600,
+                        num_test=120, relations_per_image=6, seed=13,
+                        pair_concentration=1.0),
+        {
+            "vocab.txt": "a7db55c0129d9d4640a06eec852c1d0bdf118799611e22e430c58d9df942060d",
+            "train.txt": "68eb3d5ed84df4adb0972ee9affd6007081c22f6f8c50b6d4392dc5132973f6d",
+            "test.txt": "ca45a08d0e3f429d52f4b1de9300dc26bb5c17f95f3a70b006215a505a2f32cf",
+        },
+    ),
+    # every pair redrawn
+    "criterion-8-pair_concentration=0.0": (
+        GeneratorConfig(num_object_classes=8, num_head_predicates=4,
+                        tails_per_head=2, feature_dim=8, num_train=600,
+                        num_test=120, relations_per_image=6, seed=13,
+                        pair_concentration=0.0),
+        {
+            "vocab.txt": "a7db55c0129d9d4640a06eec852c1d0bdf118799611e22e430c58d9df942060d",
+            "train.txt": "d5aa065504ab4aa3486a7bc940546f3e4c71cd07cebf59ed697e47fb5522f00e",
+            "test.txt": "224b0c88385c927646428b6019bfd3f44ab4382ca29292efd3fbb4223a183cd1",
         },
     ),
 }
