@@ -142,35 +142,33 @@ def _cmd_eval(args):
 
 
 def _cmd_report(args):
-    iters, evals, evalpreds = parse_log(args.log)
+    rows = parse_log(args.log)
     positional, keys = _LOG_RECORDS["iter"]
-    trace = [*positional, *(key for key, kind in keys.items() if kind == "weight")]
+    trace = [*positional, *(key for key, kind in keys.items() if kind == "fraction")]
     lines = ["schedule trace", "\t".join(trace)]
-    for row in iters:
+    for row in rows["iter"]:
         # str of a float is its repr, as in the log
         lines.append("\t".join(str(row[field]) for field in trace))
-    if evals:
+    if rows["eval"]:
         lines.append("")
         lines.append("evaluation snapshots")
         positional, keys = _LOG_RECORDS["eval"]
         lines.append("\t".join([*positional, *keys]))
-        for row in evals:
+        for row in rows["eval"]:
             lines.append("\t".join([*(str(row[name]) for name in positional),
                                     *(recall_cell(row[key]) for key in keys)]))
-    if evalpreds:
-        last_iter = max(row["iteration"] for row in evalpreds)
-        ks = sorted({row["K"] for row in evalpreds if row["iteration"] == last_iter})
+    if rows["evalpred"]:
+        last_iter = max(row["iteration"] for row in rows["evalpred"])
+        recalls = {(row["index"], row["K"]): row["recall"]
+                   for row in rows["evalpred"] if row["iteration"] == last_iter}
+        ks = sorted({k for _, k in recalls})
         lines.append("")
         lines.append(f"per-predicate recall at iteration {last_iter} "
                      "(descending train count)")
-        rows = {}
-        for row in evalpreds:
-            if row["iteration"] == last_iter:
-                rows.setdefault(row["index"], {})[row["K"]] = row
         lines += per_predicate_table(ks, [
-            (i, by_k[ks[0]]["name"], by_k[ks[0]]["train_count"],
-             [by_k[k]["recall"] for k in ks])
-            for i, by_k in rows.items()
+            (row["index"], row["name"], row["train_count"],
+             [recalls[row["index"], k] for k in ks])
+            for row in rows["predicate"]
         ])
     with open_atomic(args.out) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -457,7 +457,7 @@ FIELD_KINDS = {
     "name": (str, None, None, "a name"),
     "bool": (bool, None, None, "a boolean (true/false/yes/no/1/0)"),
     "float": (float, -np.finfo(float).max, np.finfo(float).max, "a finite number"),
-    "weight": (float, 0.0, 1.0, "a number in [0, 1]"),
+    "fraction": (float, 0.0, 1.0, "a number in [0, 1]"),
     "recall": (float, 0.0, 1.0, "a number in [0, 1] or absent"),
 }
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -505,7 +505,9 @@ def load_vocabulary(path):
 
     Raises one ValueError naming the file, the line and the field for a line
     without four fields, an index out of order, a negative count, or a
-    parent that is not a head predicate (the background's parent is -1).
+    parent that is not a head predicate (the background's parent is -1),
+    and naming the file and both lines for a name that an earlier line
+    gives.
     """
     names, counts, parents = [], [], []
     with open_text(path) as fh:
@@ -527,6 +529,9 @@ def load_vocabulary(path):
                 raise ValueError(
                     f"{path}, line {line_no}: index is {idx}, expected {len(names)}"
                 )
+            if tok[1] in names:
+                raise ValueError(f"{path}, line {line_no}: the predicate name "
+                                 f"{tok[1]!r} repeats line {names.index(tok[1]) + 1}")
             names.append(tok[1])
             counts.append(count)
             parents.append(parent)

@@ -33,7 +33,10 @@ record's fields in file order, with each field's kind (one of
 ``datagen.FIELD_KINDS``: the type its text is read as and its range). A
 ``LogEntry`` is exactly an ``iter`` record, its fields in file order; the
 record's loss keys are ``losses.LOSS_NAMES``, ``LossBreakdown``'s fields,
-which the training loop's non-finite check walks too. ``write_log``
+which the training loop's non-finite check walks too. The log states each
+predicate once: a ``predicate`` row (index, name, train count) for each of
+1..P follows the header, P is the count of those rows, and an ``evalpred``
+row carries only the predicate index beside its recall. ``write_log``
 writes every record through one formatter that reads the table,
 ``parse_log`` reads and range-checks each value with
 ``datagen.read_field``, and ``dualrel report`` takes its schedule trace
@@ -80,7 +83,7 @@ from .numerics import ConfigurationError, softmax
 from .schedules import ScheduleConfig, branch_weight, head_predicate_weight
 from .semantic_context import context_backward, context_forward, target_global_token
 
-LOG_FORMAT_VERSION = 1
+LOG_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -348,13 +351,15 @@ def evaluate(model, test_split, vocab, ks=DEFAULT_KS):
 # record -> (positional fields, key=value fields), each a {field: kind} dict
 # in file order: the one statement of the train.log format
 _LOG_RECORDS = {
+    "predicate": ({"index": "index", "name": "name", "train_count": "count"}, {}),
     "iter": ({"iteration": "index"},
-             {"alpha": "weight", "lambda_head": "weight",
+             {"alpha": "fraction", "lambda_head": "fraction",
               **dict.fromkeys(LOSS_NAMES, "float")}),
     "eval": ({"iteration": "index", "K": "index"},
-             dict.fromkeys(("r", "mr", "m", *GROUP_NAMES), "recall")),
-    "evalpred": ({"iteration": "index", "K": "index", "index": "index", "name": "name",
-                  "train_count": "count", "recall": "recall"}, {}),
+             {**dict.fromkeys(("r", "mr", "m"), "fraction"),
+              **dict.fromkeys(GROUP_NAMES, "recall")}),
+    "evalpred": ({"iteration": "index", "K": "index", "index": "index",
+                  "recall": "recall"}, {}),
 }
 
 
@@ -373,6 +378,8 @@ def _log_line(record, values):
 def write_log(path, log, vocab):
     with open_atomic(path) as fh:
         fh.write(f"# training-log {LOG_FORMAT_VERSION}\n")
+        for i in range(1, vocab.num_predicates + 1):
+            fh.write(_log_line("predicate", [i, vocab.names[i], vocab.train_counts[i]]))
         for entry in log.entries:
             fh.write(_log_line("iter", [entry.iteration, entry.alpha, entry.lambda_head,
                                         *vars(entry.breakdown).values()]))
@@ -383,30 +390,29 @@ def write_log(path, log, vocab):
                                             *report.group_recalls[k]]))
                 per_class = report.per_predicate[k]
                 for i in range(1, per_class.shape[0]):
-                    fh.write(_log_line("evalpred", [iteration, k, i, vocab.names[i],
-                                                    vocab.train_counts[i], per_class[i]]))
+                    fh.write(_log_line("evalpred", [iteration, k, i, per_class[i]]))
 
 
 def parse_log(path):
-    """Parse a training log into (iteration rows, eval rows, per-pred rows).
+    """Parse a training log into {record: its rows in file order}, one row a
+    {field: value} dict.
 
     The header must name ``LOG_FORMAT_VERSION``. A line must hold exactly
     the fields ``write_log`` writes for its record, each value in its kind's
-    range (``datagen.FIELD_KINDS``); ``iter`` iterations must rise, no two
-    rows may share a record and index fields (iteration, K, predicate
-    index), and the evaluation rows must form the grid ``write_log``
+    range (``datagen.FIELD_KINDS``); ``iter`` iterations must rise, and no
+    two rows may share a record and index fields (iteration, K, predicate
+    index) or two ``predicate`` rows a name. The ``predicate`` rows state
+    each predicate once: P is their count, and their indices are 1..P in
+    file order. The evaluation rows must form the grid ``write_log``
     writes: at each evaluated iteration the ``eval`` and ``evalpred`` rows
-    have the same Ks, at each K the ``evalpred`` indices are 1..P with one
-    P for the whole log, and each index has one name and one train count.
-    Otherwise one ValueError names the file, the line or iteration, and the
-    field.
+    have the same Ks, and at each K the ``evalpred`` indices are exactly
+    1..P. Otherwise one ValueError names the file, the line or iteration,
+    and the field.
     """
     rows = {record: [] for record in _LOG_RECORDS}
-    # a row's record and index fields (iteration, K, predicate index) ->
-    # the line that holds it
+    # a row's record and index fields (iteration, K, predicate index), or a
+    # predicate's name -> the line that holds it
     lines = {}
-    # predicate index -> (its first evalpred row, that row's line)
-    predicates = {}
     with open_text(path) as fh:
         header = " ".join(fh.readline().split())
         if header != f"# training-log {LOG_FORMAT_VERSION}":
@@ -438,31 +444,31 @@ def parse_log(path):
             ):
                 raise ValueError(f"{where}: iteration {row['iteration']} does not "
                                  f"follow iteration {rows['iter'][-1]['iteration']}")
-            name = f"{tok[0]} row of " + ", ".join(
+            names = [f"{tok[0]} row of " + ", ".join(
                 f"{field} {row[field]}" for field, kind in positional.items()
                 if kind == "index"
-            )
-            if name in lines:
-                raise ValueError(f"{where}: the {name} repeats line {lines[name]}")
-            lines[name] = number
-            if tok[0] == "evalpred":
-                first, line_no = predicates.setdefault(row["index"], (row, number))
-                for field in ("name", "train_count"):
-                    if row[field] != first[field]:
-                        raise ValueError(
-                            f"{where}: field {field} of predicate index {row['index']} "
-                            f"is {row[field]!r}, line {line_no} gives {first[field]!r}"
-                        )
+            )]
+            if tok[0] == "predicate":  # a predicate's name is a key too
+                names.append(f"predicate name {row['name']!r}")
+            for name in names:
+                if name in lines:
+                    raise ValueError(f"{where}: the {name} repeats line {lines[name]}")
+                lines[name] = number
+            if tok[0] == "predicate" and row["index"] != len(rows["predicate"]) + 1:
+                raise ValueError(f"{where}: predicate index {row['index']} is not "
+                                 f"{len(rows['predicate']) + 1}, the next index")
             rows[tok[0]].append(row)
+    every = set(range(1, len(rows["predicate"]) + 1))
     grid = {}  # (iteration, K) -> the predicate indices of its evalpred rows
     for row in rows["evalpred"]:
         grid.setdefault((row["iteration"], row["K"]), set()).add(row["index"])
-    every = set(range(1, max(predicates, default=0) + 1))
     for (iteration, k), indices in sorted(grid.items()):
         if indices != every:
+            index = min(indices ^ every)
             raise ValueError(
-                f"{path}: the evalpred rows of iteration {iteration} have no "
-                f"K={k} row for predicate index {min(every - indices)}"
+                f"{path}: the evalpred rows of iteration {iteration} have "
+                f"{'no' if index in every else 'a'} K={k} row for predicate index "
+                f"{index}, and the predicate rows give P = {len(every)}"
             )
     evaluated = {(row["iteration"], row["K"]) for row in rows["eval"]}
     unmatched = sorted(evaluated ^ grid.keys())
@@ -470,4 +476,4 @@ def parse_log(path):
         iteration, k = unmatched[0]
         record = "evalpred" if (iteration, k) in evaluated else "eval"
         raise ValueError(f"{path}: iteration {iteration} has no {record} row at K={k}")
-    return rows["iter"], rows["eval"], rows["evalpred"]
+    return rows

@@ -120,7 +120,7 @@ def test_log_traces_match_schedule_module(workspace):
     run_command(["train", "--config", str(workspace / "train.cfg"),
                  "--data", str(data), "--out", str(run)])
     cfg = read_config(workspace / "train.cfg", TrainConfig)
-    iters, _, _ = parse_log(run / "train.log")
+    iters = parse_log(run / "train.log")["iter"]
     assert len(iters) == cfg.schedule.total_iterations
     for row in iters:
         k = row["iteration"]
@@ -170,7 +170,7 @@ def test_log_and_report_bytes_are_pinned(tmp_path):
     write_log(path, log, vocab)
     assert run_command(["report", "--log", str(path), "--out", str(summary)]) == 0
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, summary)] == [
-        "a07b2998eac2055eafb4e348867d53bf74ec2d7a7b52e812fc0c46e06e5dfaf2",
+        "00cffc377f6d312db64a9445df1233925cb6b9510cb14bc288ec70c9012aad8f",
         "c5bc6857c58a31865da5c51bae747f5b8f4d309a88dae30b4a857a4c0f82daa8",
     ]
 
@@ -519,19 +519,22 @@ def _model_with(**dims):
 ITER_LINE = ("iter 1 alpha=1.0 lambda_head=1.0 l_ce=1.0 l_crm=1.0 l_hybrid=1.0 "
              "l_sc=0.0 l_kd=0.0 l_total=1.0")
 EVAL_LINE = "eval 1 20 r=0.5 mr=0.5 m=0.5 many=0.5 medium=absent few=0.5"
-EVALPRED_LINE = "evalpred 1 20 1 a 3 0.5"
+EVALPRED_LINE = "evalpred 1 20 1 0.5"
+PREDICATE_LINES = "predicate 1 a 3\npredicate 2 b 2"
 # predicate 2 has no K=10 row
-EVALPRED_LINES = "\n".join(["evalpred 10 5 1 a 3 0.5", "evalpred 10 10 1 a 3 0.5",
-                            "evalpred 10 5 2 b 2 0.5"])
+EVALPRED_LINES = "\n".join([PREDICATE_LINES, "evalpred 10 5 1 0.5",
+                            "evalpred 10 10 1 0.5", "evalpred 10 5 2 0.5"])
 
 # two snapshots (iterations 1 and 2, K = 20 and 50) of a two-predicate
-# evaluation grid, laid out as write_log writes it: lines 3-5, 6-8, 9-11, 12-14
-GRID_LOG = "\n".join([ITER_LINE, *(
+# evaluation grid, laid out as write_log writes it: the predicate rows on
+# lines 2-3, the iter row on line 4, the snapshots on lines 5-7, 8-10,
+# 11-13 and 14-16
+GRID_LOG = "\n".join([PREDICATE_LINES, ITER_LINE, *(
     line
     for iteration in (1, 2) for k in (20, 50)
     for line in [EVAL_LINE.replace("eval 1 20 ", f"eval {iteration} {k} "),
-                 f"evalpred {iteration} {k} 1 a 3 0.5",
-                 f"evalpred {iteration} {k} 2 b 2 0.5"]
+                 f"evalpred {iteration} {k} 1 0.5",
+                 f"evalpred {iteration} {k} 2 0.5"]
 )])
 
 
@@ -593,6 +596,9 @@ BAD_INPUTS = [
                  ("train.txt", "line 241", "image_id"), id="image-id-gap"),
     pytest.param("data", _edit_line("vocab.txt", 3, lambda tokens: tokens.pop()),
                  ("vocab.txt", "line 3", "4 fields"), id="vocab-line-of-3-fields"),
+    pytest.param("data", _edit_line("vocab.txt", 5, _set(1, "head02")),
+                 ("vocab.txt", "line 5", "'head02'", "repeats line 3"),
+                 id="vocab-name-repeated"),
     pytest.param("data", _edit_line("vocab.txt", 5, _set(3, "77")),
                  ("vocab.txt", "line 5", "parent"), id="vocab-parent-77"),
     pytest.param("data", _edit_line("vocab.txt", 3, _set(2, "x")),
@@ -655,12 +661,21 @@ BAD_INPUTS = [
     pytest.param("report", _without(GRID_LOG, "evalpred 2 50 "),
                  ("iteration 2", "no evalpred row", "K=50"),
                  id="eval-row-without-evalpred"),
-    pytest.param("report", GRID_LOG.replace("evalpred 1 50 2 b", "evalpred 1 50 2 c"),
-                 ("line 8", "field name ", "index 2", "line 5"),
-                 id="evalpred-name-differs"),
-    pytest.param("report", GRID_LOG.replace("evalpred 2 20 1 a 3", "evalpred 2 20 1 a 4"),
-                 ("line 10", "field train_count ", "index 1", "line 4"),
-                 id="evalpred-train_count-differs"),
+    # the last predicate's rows missing at every snapshot: P is 2, not 1
+    pytest.param("report", _without(GRID_LOG, *(f"evalpred {i} {k} 2 " for i in (1, 2)
+                                                for k in (20, 50))),
+                 ("iteration 1", "no K=20 row", "index 2"),
+                 id="evalpred-last-index-missing-everywhere"),
+    pytest.param("report", _without(GRID_LOG, "predicate 2 "),
+                 ("iteration 1", "K=20", "index 2", "P = 1"), id="evalpred-index-above-p"),
+    pytest.param("report", GRID_LOG.replace("predicate 2 b", "predicate 3 b"),
+                 ("line 3", "predicate index 3", "2"), id="predicate-index-gap"),
+    pytest.param("report", GRID_LOG.replace("predicate 2 b 2", "predicate 1 a 3"),
+                 ("line 3", "repeats line 2", "predicate row of index 1"),
+                 id="predicate-repeated"),
+    pytest.param("report", GRID_LOG.replace("predicate 2 b", "predicate 2 a"),
+                 ("line 3", "repeats line 2", "predicate name 'a'"),
+                 id="predicate-name-repeated"),
     pytest.param("report", f"{ITER_LINE}\udcff", ("line 2", "UTF-8"), id="log-non-utf8"),
     pytest.param("report", ITER_LINE.replace("alpha=1.0", "alpha=nan"),
                  ("line 2", "field alpha "), id="alpha=nan"),
@@ -676,6 +691,11 @@ BAD_INPUTS = [
                  ("line 2", "field lambda_head "), id="lambda_head=-0.1"),
     pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE.replace(' r=0.5', ' r=7.0')}",
                  ("line 3", "field r "), id="eval-r=7.0"),
+    # r, mr and m are numbers; only a group recall may be absent
+    *(pytest.param("report", f"{ITER_LINE}\n" + EVAL_LINE.replace(f" {key}=0.5",
+                                                                 f" {key}=absent"),
+                   ("line 3", f"field {key} ", "'absent'"), id=f"eval-{key}=absent")
+      for key in ("r", "mr", "m")),
     pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE.replace('few=0.5', 'few=nan')}",
                  ("line 3", "field few "), id="eval-few=nan"),
     pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 0.5', ' -0.5')}",
@@ -684,10 +704,10 @@ BAD_INPUTS = [
                  ("line 2", "field iteration "), id="iter-0"),
     pytest.param("report", f"{ITER_LINE}\n{EVAL_LINE.replace(' 20 ', ' 0 ')}",
                  ("line 3", "field K "), id="eval-K=0"),
-    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 1 a ', ' 0 a ')}",
+    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 20 1 ', ' 20 0 ')}",
                  ("line 3", "field index "), id="evalpred-index=0"),
-    pytest.param("report", f"{ITER_LINE}\n{EVALPRED_LINE.replace(' 3 ', ' -1 ')}",
-                 ("line 3", "field train_count "), id="evalpred-train_count=-1"),
+    pytest.param("report", PREDICATE_LINES.replace(" b 2", " b -1"),
+                 ("line 3", "field train_count "), id="predicate-train_count=-1"),
     pytest.param("report", f"{ITER_LINE}\n{ITER_LINE}", ("line 3", "iteration 1"),
                  id="iter-repeated"),
     pytest.param("report", f"{ITER_LINE} alpha=0.5", ("line 2", "'alpha=0.5'"),
@@ -700,8 +720,8 @@ BAD_INPUTS = [
                  id="evalpred-repeated"),
     pytest.param("report", f"{ITER_LINE.replace('iter 1', 'iter 5')}\n{ITER_LINE}",
                  ("line 3", "iteration 1", "iteration 5"), id="iter-goes-down"),
-    pytest.param("report", f"# training-log 2\n{ITER_LINE}",
-                 ("line 1", "'# training-log 2'"), id="log-version-2"),
+    pytest.param("report", f"# training-log 1\n{ITER_LINE}",
+                 ("line 1", "'# training-log 1'"), id="log-version-1"),
     pytest.param("report", f"# training-log\n{ITER_LINE}",
                  ("line 1", "'# training-log'"), id="log-without-version"),
     pytest.param("report", f"# training-log x\n{ITER_LINE}",
@@ -748,7 +768,7 @@ def test_bad_input_is_one_error_line_and_no_output(
     elif command == "report":
         log = inputs = tmp_path / "train.log"
         if not change.startswith("#"):  # a change may bring its own header
-            change = f"# training-log 1\n{change}"
+            change = f"# training-log 2\n{change}"
         log.write_bytes(f"{change}\n".encode("utf-8", "surrogateescape"))
         named = [*named, str(log)]
         argv = ["report", "--log", str(log), "--out", str(out)]

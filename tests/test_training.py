@@ -1,22 +1,28 @@
 import copy
+import math
+import struct
 import sys
 from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrel.datagen import (
     GeneratorConfig,
+    PredicateVocabulary,
     build_prior_bias,
     generate_dataset,
     group_split,
     head_set,
     relations_by_image,
 )
-from dualrel.losses import LOSS_NAMES, effective_number_weights
+from dualrel.losses import LOSS_NAMES, LossBreakdown, effective_number_weights
 from dualrel.metrics import (
     DEFAULT_KS,
+    GROUP_NAMES,
     EvalReport,
     format_report,
     group_mean_recall,
@@ -38,6 +44,7 @@ from dualrel.training import (
     LogEntry,
     TrainConfig,
     TrainingDiverged,
+    TrainLog,
     _BatchContext,
     batch_forward_backward,
     evaluate,
@@ -534,21 +541,25 @@ class TestTrainLogIO:
         assert all(report.ks == DEFAULT_KS for _, report in log.eval_snapshots)
         path = tmp_path / "train.log"
         write_log(path, log, vocab)
-        iters, evals, evalpreds = parse_log(path)
-        assert len(iters) == 30
-        for row, entry in zip(iters, log.entries):
+        rows = parse_log(path)
+        assert [(row["index"], row["name"], row["train_count"])
+                for row in rows["predicate"]] == [
+            (i, vocab.names[i], vocab.train_counts[i])
+            for i in range(1, vocab.num_predicates + 1)
+        ]
+        assert len(rows["iter"]) == 30
+        for row, entry in zip(rows["iter"], log.entries):
             assert row["iteration"] == entry.iteration
             assert row["l_total"] == entry.breakdown.l_total
             assert row["alpha"] == entry.alpha
             assert row["lambda_head"] == entry.lambda_head
-        assert {row["iteration"] for row in evals} == {15, 30}
-        assert [row["K"] for row in evals] == [*DEFAULT_KS] * 2
+        assert {row["iteration"] for row in rows["eval"]} == {15, 30}
+        assert [row["K"] for row in rows["eval"]] == [*DEFAULT_KS] * 2
         final = log.eval_snapshots[-1][1]
-        for row in evals:
+        for row in rows["eval"]:
             if row["iteration"] == 30 and row["K"] == 20:
                 assert row["r"] == final.r_at_k[20]
-        names = {row["name"] for row in evalpreds}
-        assert vocab.names[1] in names
+        assert len(rows["evalpred"]) == 2 * len(DEFAULT_KS) * vocab.num_predicates
 
     @pytest.mark.parametrize("eval_every, iterations", [
         (0, [30]),
@@ -578,6 +589,117 @@ class TestTrainLogIO:
         *head, breakdown = (f.name for f in fields(LogEntry))
         assert breakdown == "breakdown"
         assert [*head, *LOSS_NAMES] == [*positional, *keyed]
+
+
+# besides hypothesis's own floats: the smallest subnormal, a huge loss and
+# a sum that is not its decimal look-alike
+FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 0.1 + 0.2, 1.0]))
+LOSSES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([5e-324, -2.2250738585072014e-308, 1e300, 0.1 + 0.2]))
+
+
+@st.composite
+def logs_and_vocabularies(draw):
+    """A TrainLog and a vocabulary that ``write_log`` takes: distinct names
+    without white space, rising iterations, None group recalls and NaN
+    per-predicate recalls."""
+    names = draw(st.lists(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                                  min_size=1, max_size=6),
+                          min_size=2, max_size=6, unique=True))
+    counts = draw(st.lists(st.integers(0, 2**62), min_size=len(names),
+                           max_size=len(names)))
+    vocab = PredicateVocabulary(names, np.array(counts), np.zeros(len(names), dtype=int))
+    entries = [
+        LogEntry(k, draw(FRACTIONS), draw(FRACTIONS),
+                 LossBreakdown(*(draw(LOSSES) for _ in LOSS_NAMES)))
+        for k in sorted(draw(st.sets(st.integers(1, 10**9), max_size=4)))
+    ]
+    ks = tuple(draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3, unique=True)))
+    snapshots = [
+        (iteration, EvalReport(
+            ks, *({k: draw(FRACTIONS) for k in ks} for _ in range(3)),
+            per_predicate={k: np.array([np.nan, *(
+                draw(st.one_of(st.just(np.nan), FRACTIONS)) for _ in names[1:]
+            )]) for k in ks},
+            group_recalls={k: tuple(draw(st.one_of(st.none(), FRACTIONS))
+                                    for _ in GROUP_NAMES) for k in ks},
+        ))
+        for iteration in sorted(draw(st.sets(st.integers(1, 10**9), max_size=3)))
+    ]
+    return TrainLog(entries, snapshots), vocab
+
+
+def written_rows(log, vocab):
+    """The rows ``parse_log`` should give for ``write_log(log, vocab)``; a NaN
+    recall is None."""
+    rows = {
+        "predicate": [dict(index=i, name=vocab.names[i], train_count=count)
+                      for i, count in enumerate(vocab.train_counts[1:].tolist(), start=1)],
+        "iter": [dict(iteration=entry.iteration, alpha=entry.alpha,
+                      lambda_head=entry.lambda_head, **vars(entry.breakdown))
+                 for entry in log.entries],
+        "eval": [], "evalpred": [],
+    }
+    for iteration, report in log.eval_snapshots:
+        for k in report.ks:
+            rows["eval"].append(dict(iteration=iteration, K=k, r=report.r_at_k[k],
+                                     mr=report.mr_at_k[k], m=report.m_at_k[k],
+                                     **dict(zip(GROUP_NAMES, report.group_recalls[k]))))
+            rows["evalpred"] += [
+                dict(iteration=iteration, K=k, index=i,
+                     recall=None if math.isnan(recall) else recall)
+                for i, recall in enumerate(report.per_predicate[k][1:].tolist(), start=1)
+            ]
+    return rows
+
+
+def as_bits(rows):
+    """Each value of ``rows`` as its type and, for a float, its IEEE bytes."""
+    return {record: [{field: (type(value), struct.pack("<d", value)
+                              if type(value) is float else value)
+                      for field, value in row.items()} for row in table]
+            for record, table in rows.items()}
+
+
+def log_from_rows(rows):
+    """The TrainLog and vocabulary whose log ``parse_log`` read as ``rows``."""
+    vocab = PredicateVocabulary(
+        ["__background__", *(row["name"] for row in rows["predicate"])],
+        np.array([0, *(row["train_count"] for row in rows["predicate"])]),
+        np.zeros(len(rows["predicate"]) + 1, dtype=int),
+    )
+    entries = [LogEntry(row["iteration"], row["alpha"], row["lambda_head"],
+                        LossBreakdown(*(row[name] for name in LOSS_NAMES)))
+               for row in rows["iter"]]
+    evals, recalls = {}, {}
+    for row in rows["eval"]:
+        evals.setdefault(row["iteration"], {})[row["K"]] = row
+    for row in rows["evalpred"]:
+        recalls.setdefault((row["iteration"], row["K"]), [np.nan]).append(
+            np.nan if row["recall"] is None else row["recall"])
+    snapshots = [
+        (iteration, EvalReport(
+            tuple(by_k),
+            *({k: row[key] for k, row in by_k.items()} for key in ("r", "mr", "m")),
+            per_predicate={k: np.array(recalls[iteration, k]) for k in by_k},
+            group_recalls={k: tuple(row[name] for name in GROUP_NAMES)
+                           for k, row in by_k.items()},
+        ))
+        for iteration, by_k in evals.items()
+    ]
+    return TrainLog(entries, snapshots), vocab
+
+
+@settings(max_examples=150, deadline=None)
+@given(logs_and_vocabularies())
+def test_log_round_trips_every_value_bit_for_bit(tmp_path_factory, log_and_vocab):
+    log, vocab = log_and_vocab
+    folder = tmp_path_factory.mktemp("log")
+    write_log(folder / "first.log", log, vocab)
+    rows = parse_log(folder / "first.log")
+    assert as_bits(rows) == as_bits(written_rows(log, vocab))
+    write_log(folder / "second.log", *log_from_rows(rows))
+    assert (folder / "second.log").read_bytes() == (folder / "first.log").read_bytes()
 
 
 class TestTrainConfig:
