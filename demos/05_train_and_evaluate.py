@@ -10,8 +10,6 @@ command line:
     dualrel report --log run/train.log --out summary.txt
 """
 
-import numpy as np
-
 from dualrel import (
     DualBranchModel,
     GeneratorConfig,
@@ -22,8 +20,6 @@ from dualrel import (
     generate_dataset,
     train,
 )
-
-np.seterr(over="ignore")
 
 gcfg = GeneratorConfig(num_head_predicates=8, tails_per_head=2, num_train=2000,
                        num_test=480, relations_per_image=12, seed=3)

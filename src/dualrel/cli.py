@@ -33,7 +33,15 @@ from .metrics import (
 )
 from .model import DualBranchModel, check_fit, load_checkpoint, save_checkpoint
 from .numerics import ConfigurationError
-from .training import _LOG_RECORDS, TrainConfig, evaluate, parse_log, train, write_log
+from .training import (
+    _LOG_RECORDS,
+    TrainConfig,
+    TrainingDiverged,
+    evaluate,
+    parse_log,
+    train,
+    write_log,
+)
 
 
 def _build_parser():
@@ -93,7 +101,8 @@ def _cmd_train(args):
     )
     try:
         log = train(cfg, vocab, train_split, model, eval_instances=test_split)
-    except ConfigurationError as exc:  # the config does not suit this dataset
+    # the config does not suit this dataset, or its learning rate diverges
+    except (ConfigurationError, TrainingDiverged) as exc:
         raise ValueError(f"{args.config}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "model.ckpt"), model)

@@ -410,12 +410,13 @@ def relations_by_image(table):
 def open_atomic(path, mode="w"):
     """Open a temp file beside path and rename it over path on success.
 
-    If the block raises, the temp file is removed and nothing is left at
-    path that was not there before.
+    Text is written as UTF-8, the encoding ``open_text`` reads, whatever
+    the locale. If the block raises, the temp file is removed and nothing
+    is left at path that was not there before.
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -9,7 +9,9 @@ frozen subject-object prior-bias slice to their logits. The extractor is a
 single set of parameters, so sharing between branches is by construction.
 Every parameter lives in one ``ParamStore`` whose layout
 ``parameter_layout`` derives from ``parameter_specs``: ``build`` draws the
-values, and a checkpoint fills them as stored. Inference
+values, and a checkpoint fills them as stored. The five header dimensions
+of a checkpoint fix that layout, so the file holds only the dimensions,
+the layout's sha256 and the values in layout order (format 2). Inference
 (``fine_branch_rows``) returns the fine logits plus the set encoder's
 correction. ``check_fit`` is the one rule for whether a model fits a
 vocabulary and a relation table; training, evaluation and ``dualrel eval``
@@ -21,6 +23,7 @@ images; one relation is a one-row table. Two one-image forms remain,
 ``bench/`` resolves and calls them by name.
 """
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from .numerics import (
 
 BRANCHES = ("coarse", "fine")
 CHECKPOINT_MAGIC = b"DBRM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the checkpoint header's dimensions, in file order after the version
 CHECKPOINT_DIMS = ("feature_dim", "hidden_dim", "context_dim", "num_predicates",
                    "num_object_classes")
@@ -243,26 +246,30 @@ def fine_branch_forward(model, image):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: little-endian binary, parameters in sorted-name order
+# checkpoints: little-endian binary. The header's dimensions fix the layout,
+# so the file holds its digest, not the parameters' names, flags or shapes.
 # ---------------------------------------------------------------------------
+
+# after the magic: the version, the CHECKPOINT_DIMS, the layout digest
+_HEADER = struct.Struct(f"<{1 + len(CHECKPOINT_DIMS)}I32s")
+
+
+def _layout_digest(layout):
+    """sha256 of a layout's names, shapes and trainable flags, in order."""
+    text = "".join(f"{name} {tuple(map(int, shape))} {bool(trainable)}\n"
+                   for name, shape, trainable in layout)
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 def save_checkpoint(path, model):
-    store = model.store
-    names = store.names()
+    dims = {dim: getattr(model, dim) for dim in CHECKPOINT_DIMS}
+    layout = parameter_layout(parameter_specs(**dims))
     with open_atomic(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack(f"<{1 + len(CHECKPOINT_DIMS)}I", CHECKPOINT_VERSION,
-                             *(getattr(model, dim) for dim in CHECKPOINT_DIMS)))
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            arr = store[name]
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<BB", int(store.is_trainable(name)), arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(CHECKPOINT_VERSION, *dims.values(),
+                              _layout_digest(layout)))
+        for param, _, _ in layout:
+            fh.write(np.ascontiguousarray(model.store[param], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -274,15 +281,14 @@ def load_checkpoint(path):
 def parse_checkpoint(data, name):
     """The model held by the bytes of a checkpoint from ``save_checkpoint``.
 
-    Bytes that end early, run past the last parameter, or are otherwise
-    malformed raise one ValueError that names ``name`` (the file). So do
-    header dimensions below 1, parameters that differ in name, shape or
-    trainable flag from the ``parameter_layout`` of the header's
-    dimensions, and non-finite values. Each parameter is compared before
-    its values are read, and the store is allocated only once all of them
-    matched, so a corrupted header dimension cannot make it allocate more
-    than the file holds. The values fill the store as they are: no
-    parameter is drawn.
+    Format 2 is the magic, the version, the ``CHECKPOINT_DIMS``, the sha256
+    of the ``parameter_layout`` they give, then every value as float64 in
+    layout order. Bytes that end early or run past the last value, another
+    version, a dimension below 1, a digest of another layout (a parameter
+    renamed, reshaped, frozen or moved) and a non-finite value each raise
+    one ValueError naming ``name`` (the file). Nothing the size of the
+    model is allocated before the digest and the length match, and the
+    values fill the store as they are: no parameter is drawn.
     """
     offset = 0
 
@@ -296,12 +302,9 @@ def parse_checkpoint(data, name):
         offset += size
         return data[offset - size : offset]
 
-    def unpack(fmt):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{name} is not a model checkpoint")
-    version, *header = unpack(f"<{1 + len(CHECKPOINT_DIMS)}I")
+    version, *header, digest = _HEADER.unpack(take(_HEADER.size))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{name}: unsupported checkpoint version {version}")
     dims = dict(zip(CHECKPOINT_DIMS, header))
@@ -309,44 +312,20 @@ def parse_checkpoint(data, name):
         if value < 1:
             raise ValueError(f"{name}: header {key} is {value}, must be at least 1")
     layout = parameter_layout(parameter_specs(**dims))
-    expected = {param: (shape, trainable) for param, shape, trainable in layout}
-    (count,) = unpack("<I")
-    loaded = {}
-    for _ in range(count):
-        (name_len,) = unpack("<H")
-        raw = take(name_len)
-        trainable, ndim = unpack("<BB")
-        shape = unpack(f"<{ndim}I")
-        data_bytes = take(8 * math.prod(shape))
-        try:
-            param = raw.decode("utf-8")
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-        if param in loaded:
-            raise ValueError(f"{name}: duplicate parameter name {param!r}")
-        loaded[param] = None  # not part of the model: reported below
-        if param not in expected:
-            continue
-        if (shape, bool(trainable)) != expected[param]:
-            raise ValueError(
-                f"{name}: parameter {param!r} has shape {shape}, trainable="
-                f"{bool(trainable)}; the header's model has {expected[param][0]}, "
-                f"{expected[param][1]}"
-            )
-        values = np.frombuffer(data_bytes, dtype="<f8").reshape(shape)
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name}: parameter {param!r} has a non-finite value")
-        loaded[param] = values
+    if digest != _layout_digest(layout):
+        raise ValueError(f"{name}: the layout digest is not that of the layout the "
+                         "header's dimensions give (a parameter renamed, reshaped, "
+                         "frozen or moved)")
+    sizes = [math.prod(shape) for _, shape, _ in layout]
+    values = np.frombuffer(take(8 * sum(sizes)), dtype="<f8")
     if offset != len(data):
         raise ValueError(
             f"{name}: {len(data) - offset} trailing bytes after the last parameter"
         )
-    for param in sorted(set(loaded) | set(expected)):
-        if param not in loaded:
-            raise ValueError(f"{name}: parameter {param!r} is missing")
-        if param not in expected:
-            raise ValueError(f"{name}: parameter {param!r} is not part of the model")
     store = ParamStore(layout)
-    for param, values in loaded.items():
-        store.add(param, values)
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
+    for (param, shape, _), chunk in zip(layout, chunks):
+        if not np.isfinite(chunk).all():
+            raise ValueError(f"{name}: parameter {param!r} has a non-finite value")
+        store.add(param, chunk.reshape(shape))
     return DualBranchModel(store, **dims)

@@ -239,6 +239,9 @@ def batch_forward_backward(model, batch, ctx):
     return ce_sum, crm_sum, sc_sum, kd_sum
 
 
+# every step checks its losses for finiteness (TrainingDiverged), so numpy's
+# overflow and invalid-value warnings on the way there would only repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(cfg, vocab, train_split, model, eval_instances=None):
     """Run the curriculum loop; mutates the model, returns the TrainLog.
 

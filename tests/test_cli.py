@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import dualrel
+from dualrel import model as model_module
 from dualrel.cli import run_command
 from dualrel.config import config_keys, read_config
 from dualrel.datagen import GeneratorConfig, PredicateVocabulary
 from dualrel.losses import LossBreakdown
 from dualrel.metrics import EvalReport
-from dualrel.model import DualBranchModel, save_checkpoint
+from dualrel.model import CHECKPOINT_DIMS, DualBranchModel, save_checkpoint
 from dualrel.schedules import ScheduleConfig, branch_weight, head_predicate_weight
 from dualrel.training import LogEntry, TrainConfig, TrainLog, parse_log, write_log
 
@@ -75,18 +76,65 @@ def test_generate_train_eval_report_end_to_end(workspace, capsys):
     assert "schedule trace" in summary.read_text()
 
 
-def test_python_dash_m_runs_the_command(workspace):
+def _run_cli(argv, **env):
+    """``python -m dualrel.cli argv`` in a subprocess, with one BLAS thread
+    and ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(dualrel.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    data = workspace / "data"
-    done = subprocess.run(
-        [sys.executable, "-m", "dualrel.cli", "generate",
-         "--config", str(workspace / "gen.cfg"), "--out", str(data)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "dualrel.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **env},
+        capture_output=True, text=True, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_command(workspace):
+    data = workspace / "data"
+    done = _run_cli(["generate", "--config", workspace / "gen.cfg", "--out", data])
     assert done.returncode == 0, done.stderr
     assert {"vocab.txt", "train.txt", "test.txt"} <= {p.name for p in data.iterdir()}
+
+
+# the C locale without Python's UTF-8 coercion: text opened without an
+# explicit encoding is ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_non_ascii_names_give_the_same_bytes_in_the_c_locale(generated, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(generated, data)
+    vocab = data / "vocab.txt"
+    vocab.write_bytes(vocab.read_bytes().replace(b" head01 ", " h\u00e9ad01 ".encode()))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG)
+    outputs = {}
+    # the reference run is in UTF-8 mode, whatever locale the suite runs in
+    for tag, env in [("utf8", {"PYTHONUTF8": "1"}), ("c", C_LOCALE)]:
+        run, report, summary = (tmp_path / f"{name}_{tag}"
+                                for name in ("run", "report", "summary"))
+        for argv in (
+            ["train", "--config", cfg, "--data", data, "--out", run],
+            ["eval", "--checkpoint", run / "model.ckpt", "--data", data,
+             "--ks", "5,10", "--out", report],
+            ["report", "--log", run / "train.log", "--out", summary],
+        ):
+            done = _run_cli(argv, **env)
+            assert done.returncode == 0, (tag, argv[0], done.stderr)
+        outputs[tag] = [path.read_bytes() for path in
+                        (run / "model.ckpt", run / "train.log", report, summary)]
+    assert "h\u00e9ad01".encode() in outputs["c"][1]
+    assert outputs["c"] == outputs["utf8"]
+
+
+def test_diverging_train_prints_one_error_line(generated, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(_config_text(TRAIN_CFG, learning_rate="50"))
+    done = _run_cli(["train", "--config", cfg, "--data", generated,
+                     "--out", tmp_path / "run"])
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith(f"error: {cfg}: non-finite "), done.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_repeated_runs_are_bit_identical(workspace):
@@ -419,9 +467,38 @@ def _config_text(base, **changes):
     return "".join(f"{key}={value}\n" for key, value in values.items())
 
 
-def _renamed_parameter(path, model):
+def _saved_under(edit):
+    """A checkpoint change: save the model's dims under the layout of
+    ``parameter_specs`` as ``edit`` changes its (name, shape, init) list."""
+
+    def change(path, model):
+        real = model_module.parameter_specs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "parameter_specs",
+                          lambda *args, **kwargs: edit(real(*args, **kwargs)))
+            save_checkpoint(path, DualBranchModel.build(
+                **{dim: getattr(model, dim) for dim in CHECKPOINT_DIMS}))
+
+    return change
+
+
+def _renamed(specs):
+    return [("decoder.fine.x" if name == "decoder.fine.w" else name, shape, init)
+            for name, shape, init in specs]
+
+
+def _swapped_wq_wk(specs):
+    names = [name for name, _, _ in specs]
+    q, k = names.index("context.attn.wq"), names.index("context.attn.wk")
+    specs[q], specs[k] = specs[k], specs[q]
+    return specs
+
+
+def _version_1(path, model):
     save_checkpoint(path, model)
-    path.write_bytes(path.read_bytes().replace(b"decoder.fine.w", b"decoder.fine.x"))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)  # after the magic
+    path.write_bytes(bytes(raw))
 
 
 def _nan_bias(path, model):
@@ -442,12 +519,12 @@ def _edit_line(name, line, edit):
 
     def change(data):
         path = data / name
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         index = line - 1 if line > 0 else line
         tokens = lines[index].split()
         edit(tokens)
         lines[index] = " ".join(tokens)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     return change
 
@@ -554,6 +631,8 @@ BAD_INPUTS = [
     pytest.param("train", {"eval_every": "-1"}, "eval_every", id="eval_every=-1"),
     pytest.param("train", {"learning_rate": "nan"}, "learning_rate",
                  id="learning_rate=nan"),
+    pytest.param("train", {"learning_rate": "50"}, ("non-finite", "training aborted"),
+                 id="learning_rate=50-diverges"),
     pytest.param("generate", {"tail_offset_scale": "nan"}, "tail_offset_scale",
                  id="tail_offset_scale=nan"),
     pytest.param("generate", {"seed": "-1"}, "seed", id="generate-seed=-1"),
@@ -580,7 +659,12 @@ BAD_INPUTS = [
     pytest.param("train", {"head_threshold": "100000"},
                  ("head_threshold=100000", "disable_distillation"),
                  id="head_threshold=100000"),
-    pytest.param("eval", _renamed_parameter, "decoder.fine.w", id="renamed-parameter"),
+    pytest.param("eval", _saved_under(_renamed), "layout digest",
+                 id="layout-renamed-parameter"),
+    pytest.param("eval", _saved_under(_swapped_wq_wk), "layout digest",
+                 id="layout-swapped-wq-wk"),
+    pytest.param("eval", _version_1, "unsupported checkpoint version 1",
+                 id="checkpoint-version-1"),
     pytest.param("eval", _nan_bias, "decoder.fine.b", id="nan-bias"),
     pytest.param("eval", _zero_hidden_dim, "hidden_dim", id="zero-hidden-dim"),
     pytest.param("data", _edit_line("train.txt", 2, _set(1, "99")),

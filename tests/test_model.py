@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualrel import model as model_module
 from dualrel import semantic_context
 from dualrel.datagen import (
     FEATURE_FIELDS,
@@ -274,25 +275,34 @@ class TestSharedExtractorGradients:
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     """The bytes of a checkpoint of a 4-class, width-4 model, and the offsets
-    of every byte that is not a parameter value (header, names, flags,
-    shapes)."""
+    of every byte that is not a parameter value: the 60 header bytes (magic,
+    version, dimensions, layout digest)."""
     model = DualBranchModel.build(
         num_object_classes=4, num_predicates=4, feature_dim=4, hidden_dim=4,
         context_dim=4, seed=3,
     )
     path = tmp_path_factory.mktemp("small") / "model.ckpt"
     save_checkpoint(path, model)
-    raw = path.read_bytes()
-    offsets = list(range(4 + 24 + 4))
-    at = len(offsets)
-    while at < len(raw):
-        (name_len,) = struct.unpack_from("<H", raw, at)
-        ndim = raw[at + 2 + name_len + 1]
-        shape = struct.unpack_from(f"<{ndim}I", raw, at + 2 + name_len + 2)
-        head = 2 + name_len + 2 + 4 * ndim
-        offsets += range(at, at + head)
-        at += head + 8 * int(np.prod(shape))
-    return raw, offsets
+    return path.read_bytes(), list(range(4 + 24 + 32))
+
+
+# (num_object_classes, num_predicates, feature_dim, hidden_dim, context_dim)
+MODEL_DIMS = [(4, 4, 4, 4, 4), (6, 7, 8, 12, 16), (1, 1, 1, 1, 1)]
+
+
+def renamed(specs):
+    """``parameter_specs`` output with ``decoder.fine.w`` renamed."""
+    return [("decoder.fine.x" if name == "decoder.fine.w" else name, shape, init)
+            for name, shape, init in specs]
+
+
+def swapped(specs):
+    """``parameter_specs`` output with ``context.attn.wq`` and ``wk``, of
+    equal shape, swapped in order."""
+    names = [name for name, _, _ in specs]
+    q, k = names.index("context.attn.wq"), names.index("context.attn.wk")
+    specs[q], specs[k] = specs[k], specs[q]
+    return specs
 
 
 def reference_parameters(dims, prior_table, seed):
@@ -342,7 +352,13 @@ class TestParameterArenas:
 
 
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, model, tmp_path):
+    @pytest.mark.parametrize("dims", MODEL_DIMS)
+    def test_round_trip_bitwise(self, tmp_path, dims):
+        model = DualBranchModel.build(*dims, seed=2)
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        # one trainable and one frozen parameter hold the edge values
+        for name in ("extractor.l1.w", "prior.table"):
+            model.store[name].reshape(-1)[: len(edges)] = edges
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)
@@ -353,7 +369,7 @@ class TestCheckpoint:
         assert loaded.context_dim == model.context_dim
         assert loaded.store.names() == model.store.names()
         for name in model.store.names():
-            np.testing.assert_array_equal(loaded.store[name], model.store[name])
+            assert loaded.store[name].tobytes() == model.store[name].tobytes(), name
             assert loaded.store.is_trainable(name) == model.store.is_trainable(name)
 
     def test_parse_draws_no_parameter(self, model, tmp_path, monkeypatch):
@@ -430,12 +446,12 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         message = str(info.value)
-        assert message.startswith(f"{path}: parameter 'decoder.coarse.w' has shape")
+        assert message.startswith(f"{path}: the layout digest is not")
         assert "\n" not in message
         # parsing holds the file's bytes, never a model of the flipped width
         assert peak < 2 * len(raw) + 64_000, peak
 
-    @pytest.mark.parametrize("dims", [(4, 4, 4, 4, 4), (6, 7, 8, 12, 16), (1, 1, 1, 1, 1)])
+    @pytest.mark.parametrize("dims", MODEL_DIMS)
     def test_parameter_specs_are_what_build_makes(self, dims):
         n_obj, n_pred, d, hidden, context = dims
         store = DualBranchModel.build(n_obj, n_pred, d, hidden, context).store
@@ -459,17 +475,29 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         struct.pack_into("<I", raw, 12, model.hidden_dim + 1)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="parameter 'decoder.coarse.w' has shape"):
+        with pytest.raises(ValueError, match=f"^{path}: the layout digest is not"):
             load_checkpoint(path)
 
-    def test_flipped_trainable_flag_rejected(self, model, tmp_path):
+    @pytest.mark.parametrize("edit", [renamed, swapped],
+                             ids=["renamed", "swapped-equal-shapes"])
+    def test_checkpoint_of_another_layout_rejected(self, tmp_path, monkeypatch, edit):
+        dims = (4, 4, 4, 4, 4)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
-        raw = bytearray(path.read_bytes())
-        raw[raw.index(b"prior.table") + len(b"prior.table")] = 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="'prior.table' .* trainable=True"):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                model_module, "parameter_specs",
+                lambda *args, **kwargs: edit(parameter_specs(*args, **kwargs)),
+            )
+            save_checkpoint(path, DualBranchModel.build(*dims))
+        # the same length as a checkpoint of the real layout
+        real = tmp_path / "real.ckpt"
+        save_checkpoint(real, DualBranchModel.build(*dims))
+        assert len(path.read_bytes()) == len(real.read_bytes())
+        with pytest.raises(ValueError) as info:
             load_checkpoint(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: the layout digest is not"), message
+        assert "\n" not in message
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
