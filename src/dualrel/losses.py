@@ -31,7 +31,8 @@ def cross_entropy_rows(logits, labels):
         raise ValueError(
             f"labels of shape {labels.shape} do not fit logits of shape {z.shape}"
         )
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= num_classes):
         raise ValueError("label out of range")
     flat = log_softmax(z, axis=-1).reshape(-1)
     # each row's label entry in the flat (rows * C) order
@@ -101,12 +102,13 @@ def head_distillation_rows(teacher_logits, student_logits, tau, head_indices):
         )
     if tau <= 0:
         raise ValueError("temperature must be positive")
+    student = as_array(student_logits)
     zt = as_array(teacher_logits)[..., head_indices] / tau
-    zs = as_array(student_logits)[..., head_indices] / tau
+    zs = student[..., head_indices] / tau
     p = softmax(zt, axis=-1)
     logq = log_softmax(zs, axis=-1)
-    losses = -np.sum(p * logq, axis=-1)
-    grads = np.zeros_like(as_array(student_logits))
+    losses = -np.add.reduce(p * logq, axis=-1)
+    grads = np.zeros(student.shape)
     grads[..., head_indices] = (np.exp(logq) - p) / tau
     return losses, grads
 

@@ -149,8 +149,10 @@ def image_runs(images):
 def run_inputs(model, images):
     """Inputs of a run of equal-size images (table slices): the (G, n,
     input_dim) extractor input and the (G, n) subject, object, predicate ids."""
-    ids = np.stack([image.ids for image in images])
-    return (np.stack([image.x for image in images]),
+    shape = (len(images), len(images[0]), -1)
+    # np.stack's values from one concatenate, without its per-slice views
+    ids = np.concatenate([image.ids for image in images]).reshape(shape)
+    return (np.concatenate([image.x for image in images]).reshape(shape),
             ids[..., 1], ids[..., 2], ids[..., 3])
 
 
@@ -184,14 +186,15 @@ def extractor_backward(model, cache, grad_h):
     store.accumulate("extractor.l2.b", gb2)
     grad_pre = relu_backward(cache["pre"], grad_hidden)
     # the input rows are data: their gradient is never formed
-    store.accumulate("extractor.l1.w", np.swapaxes(cache["x"], -1, -2) @ grad_pre)
-    store.accumulate("extractor.l1.b", grad_pre.sum(axis=-2))
+    store.accumulate("extractor.l1.w", cache["x"].swapaxes(-1, -2) @ grad_pre)
+    store.accumulate("extractor.l1.b", np.add.reduce(grad_pre, axis=-2))
 
 
 def _check_classes(model, subjects, objects):
     classes = np.asarray([subjects, objects])
     if classes.size and not (
-        0 <= classes.min() and classes.max() <= model.num_object_classes
+        0 <= np.minimum.reduce(classes, axis=None)
+        and np.maximum.reduce(classes, axis=None) <= model.num_object_classes
     ):
         bad = classes[(classes < 0) | (classes > model.num_object_classes)]
         raise ValueError(

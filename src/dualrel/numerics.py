@@ -38,9 +38,9 @@ def softmax(z, axis=-1):
     z = as_array(z)
     if z.size == 0:
         raise ValueError("softmax of an empty array")
-    e = z - np.max(z, axis=axis, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
 
 
@@ -48,14 +48,14 @@ def log_softmax(z, axis=-1):
     z = as_array(z)
     if z.size == 0:
         raise ValueError("log_softmax of an empty array")
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    shifted -= np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
     return shifted
 
 
 def softmax_vjp(p, grad_p, axis=-1):
     """Backward through softmax: given p = softmax(z) and dL/dp, return dL/dz."""
-    inner = np.sum(p * grad_p, axis=axis, keepdims=True)
+    inner = np.add.reduce(p * grad_p, axis=axis, keepdims=True)
     return p * (grad_p - inner)
 
 
@@ -71,9 +71,12 @@ def linear_backward(x, w, grad_y):
     """Gradients of a linear layer: returns (grad_x, grad_w, grad_b).
 
     For a (G, n, fan_in) stack, grad_w and grad_b are (G, ...) stacks of the
-    per-image gradients, which ``ParamStore.accumulate`` adds in stack order.
+    per-image gradients, which ``ParamStore.accumulate`` adds in stack order,
+    so each image's gradient keeps the bits of its own call. The extractor
+    and decoders use this; the set encoder forms each of its parameter
+    gradients as one product over the stack's rows instead.
     """
-    return grad_y @ w.T, np.swapaxes(x, -1, -2) @ grad_y, grad_y.sum(axis=-2)
+    return grad_y @ w.T, x.swapaxes(-1, -2) @ grad_y, np.add.reduce(grad_y, axis=-2)
 
 
 def relu(x):
@@ -257,7 +260,7 @@ def grad_check(loss_fn, store, eps=1e-5, names=None):
             raise ValueError(f"cannot grad-check frozen parameter {name!r}")
     store.zero_grads()
     base = float(loss_fn(store))
-    if not np.isfinite(base):
+    if not math.isfinite(base):
         raise ValueError("non-finite loss at the unperturbed point")
     analytic = {n: store.grad(n).copy() for n in checked}
 
@@ -275,7 +278,7 @@ def grad_check(loss_fn, store, eps=1e-5, names=None):
             store.zero_grads()
             minus = float(loss_fn(store))
             flat[i] = orig
-            if not (np.isfinite(plus) and np.isfinite(minus)):
+            if not (math.isfinite(plus) and math.isfinite(minus)):
                 raise ValueError(
                     f"non-finite loss while perturbing parameter {name!r} "
                     f"at flat index {i}"

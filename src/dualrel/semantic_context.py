@@ -25,11 +25,15 @@ class-table rows of the ground-truth classes added in the same order, so
 an exact one-hot prediction gives the target's bits.
 
 Every function takes one image, with rows of shape (n, ·), or a stack of G
-images with the same relation count, (G, n, ·). A stack runs each product
-as a stacked ``np.matmul``, so every image gets exactly the bits its own
-call would give, except in the projection gradient: block b gets
-E_b.T @ (sum over the stack's images of dist_b.T @ grad_rows), one sum
-for the whole stack.
+images with the same relation count, (G, n, ·). A stack runs each row
+product as a stacked ``np.matmul``, so every image gets exactly the bits
+its own call would give, its gradient wrt the fine logits included, except
+in the parameter gradients. Each weight and bias gradient is one product
+(or one sum) over all G * n rows of the stack, added to the store at once:
+the attention, feed-forward and correction-head layers' x.T @ grad_y over
+the rows (``_linear_backward_rows``), and block b of the projection's
+E_b.T @ (dist_b.T @ grad_rows). They match the sum of the G single-image
+gradients up to the last bits.
 """
 
 from dataclasses import dataclass
@@ -38,7 +42,6 @@ import numpy as np
 
 from .numerics import (
     glorot_uniform,
-    linear_backward,
     linear_forward,
     relu,
     relu_backward,
@@ -157,7 +160,7 @@ def global_token(rows):
     """Whole-graph semantic token: the arithmetic mean of the triplet rows."""
     if rows.shape[-2] < 1:
         raise ValueError("global token needs at least one row")
-    return rows.mean(axis=-2)
+    return np.add.reduce(rows, axis=-2) / rows.shape[-2]
 
 
 def _with_global_token(rows):
@@ -177,7 +180,7 @@ def encode_context(x, store):
     q = linear_forward(x, store["context.attn.wq"], store["context.attn.bq"])
     k = x @ store["context.attn.wk"]
     v = linear_forward(x, store["context.attn.wv"], store["context.attn.bv"])
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     attn = softmax(scores, axis=-1)
     heads = attn @ v
     out = linear_forward(heads, store["context.attn.wo"], store["context.attn.bo"])
@@ -193,41 +196,46 @@ def encode_context(x, store):
     return y, cache
 
 
+def _linear_backward_rows(store, weight, bias, x, grad_y):
+    """Backward through x @ store[weight] (+ store[bias]): accumulates the
+    weight gradient and, unless bias is None, the bias gradient, and returns
+    the gradient wrt x, shaped like grad_y.
+
+    Each parameter gradient is one product (one sum) over every row of x,
+    all G * n rows of a (G, n, ·) stack, added with one ``accumulate``.
+    """
+    rows = grad_y.reshape(-1, grad_y.shape[-1])
+    store.accumulate(weight, x.reshape(-1, x.shape[-1]).T @ rows)
+    if bias is not None:
+        store.accumulate(bias, np.add.reduce(rows, axis=0))
+    return grad_y @ store[weight].T
+
+
 def encode_context_backward(cache, grad_y, store):
     """Backward through the attention block; accumulates parameter grads."""
-    grad_x1 = grad_y.copy()
-    grad_hidden, gw2, gb2 = linear_backward(
-        cache["hidden"], store["context.ffn.w2"], grad_y
+    grad_hidden = _linear_backward_rows(
+        store, "context.ffn.w2", "context.ffn.b2", cache["hidden"], grad_y
     )
-    store.accumulate("context.ffn.w2", gw2)
-    store.accumulate("context.ffn.b2", gb2)
     grad_pre = relu_backward(cache["pre"], grad_hidden)
-    gx1, gw1, gb1 = linear_backward(cache["x1"], store["context.ffn.w1"], grad_pre)
-    store.accumulate("context.ffn.w1", gw1)
-    store.accumulate("context.ffn.b1", gb1)
-    grad_x1 += gx1
-
-    grad_x = grad_x1.copy()
-    grad_heads, gwo, gbo = linear_backward(
-        cache["heads"], store["context.attn.wo"], grad_x1
+    grad_x1 = grad_y + _linear_backward_rows(
+        store, "context.ffn.w1", "context.ffn.b1", cache["x1"], grad_pre
     )
-    store.accumulate("context.attn.wo", gwo)
-    store.accumulate("context.attn.bo", gbo)
-    grad_attn = grad_heads @ np.swapaxes(cache["v"], -1, -2)
-    grad_v = np.swapaxes(cache["attn"], -1, -2) @ grad_heads
+    grad_heads = _linear_backward_rows(
+        store, "context.attn.wo", "context.attn.bo", cache["heads"], grad_x1
+    )
+    grad_attn = grad_heads @ cache["v"].swapaxes(-1, -2)
+    grad_v = cache["attn"].swapaxes(-1, -2) @ grad_heads
     grad_scores = softmax_vjp(cache["attn"], grad_attn, axis=-1) * cache["scale"]
     grad_q = grad_scores @ cache["k"]
-    grad_k = np.swapaxes(grad_scores, -1, -2) @ cache["q"]
-    for grad, gate_w, gate_b in (
-        (grad_q, "wq", "bq"),
-        (grad_k, "wk", None),
-        (grad_v, "wv", "bv"),
-    ):
-        gx, gw, gb = linear_backward(cache["x"], store[f"context.attn.{gate_w}"], grad)
-        store.accumulate(f"context.attn.{gate_w}", gw)
-        if gate_b is not None:
-            store.accumulate(f"context.attn.{gate_b}", gb)
-        grad_x += gx
+    grad_k = grad_scores.swapaxes(-1, -2) @ cache["q"]
+    x = cache["x"]
+    grad_x = grad_x1 + _linear_backward_rows(
+        store, "context.attn.wq", "context.attn.bq", x, grad_q
+    )
+    grad_x += _linear_backward_rows(store, "context.attn.wk", None, x, grad_k)
+    grad_x += _linear_backward_rows(
+        store, "context.attn.wv", "context.attn.bv", x, grad_v
+    )
     return grad_x
 
 
@@ -244,7 +252,7 @@ def semantic_gap_loss(predicted_global, target_global):
         raise ValueError("global tokens must have equal dimensions")
     d = predicted_global.shape[-1]
     diff = predicted_global - target_global
-    losses = np.sum(diff * diff, axis=-1) / d
+    losses = np.add.reduce(diff * diff, axis=-1) / d
     if losses.ndim == 0:
         losses = float(losses)
     return losses, (2.0 / d) * diff
@@ -296,7 +304,7 @@ def context_forward(fine_logits, subj_dists, obj_dists, store, target=None):
     )
     predicted_global = encoded[..., n, :]
     if target is None:
-        gap_loss, grad_global = 0.0, np.zeros_like(predicted_global)
+        gap_loss, grad_global = 0.0, np.zeros(predicted_global.shape)
     else:
         gap_loss, grad_global = semantic_gap_loss(predicted_global, target)
     cache = {
@@ -318,15 +326,12 @@ def context_backward(result, grad_correction, grad_gap, store):
     """
     cache = result.cache
     n = cache["n"]
-    encoded = cache["encoded"]
-    grad_encoded = np.zeros_like(encoded)
-    gin, gw, gb = linear_backward(
-        encoded[..., :n, :], store["context.classifier.w"], grad_correction
+    grad_relations = _linear_backward_rows(
+        store, "context.classifier.w", "context.classifier.b",
+        cache["encoded"][..., :n, :], grad_correction,
     )
-    store.accumulate("context.classifier.w", gw)
-    store.accumulate("context.classifier.b", gb)
-    grad_encoded[..., :n, :] = gin
-    grad_encoded[..., n, :] += grad_gap * cache["grad_global"]
+    grad_global = grad_gap * cache["grad_global"]
+    grad_encoded = np.concatenate([grad_relations, grad_global[..., None, :]], axis=-2)
     grad_stacked = encode_context_backward(cache["enc_cache"], grad_encoded, store)
     grad_rows = grad_stacked[..., :n, :] + grad_stacked[..., n:, :] / n
     grad_probs = triplet_semantics_rows_backward(cache["triplet"], grad_rows, store)

@@ -17,10 +17,11 @@ order.
 
 A step splits its mini-batch into runs of consecutive images with the same
 relation count (``model.image_runs``) and runs every layer once per run,
-on (G, n, ·) stacks without padding. Each weight gradient is added to the
-store image by image in batch order and each loss sum in batch order, so a
-step gives the bits of a per-image loop, except along the set encoder's
-projection backward (see ``semantic_context``). With context on, each run's
+on (G, n, ·) stacks without padding. Each loss sum is added in batch
+order, and every extractor and decoder weight gradient image by image in
+batch order, so a step gives the bits of a per-image loop, except in the
+set encoder's weight and bias gradients: each is one product over a run's
+rows (see ``semantic_context``). With context on, each run's
 gap target is the ground truth's global token from
 ``semantic_context.target_global_token``, passed to ``context_forward`` as
 a constant. Evaluation stacks the same way: each run of equal-size test
@@ -186,7 +187,7 @@ def batch_forward_backward(model, batch, ctx):
 
         coarse = decode_rows(model, "coarse", h, subjects, objects)
         ce_losses, grad_coarse = cross_entropy_rows(coarse, labels)
-        for loss in ce_losses.sum(axis=-1).tolist():
+        for loss in np.add.reduce(ce_losses, axis=-1).tolist():
             ce_sum += loss
         grad_coarse *= ctx.alpha / ctx.n_relations
 
@@ -196,7 +197,8 @@ def batch_forward_backward(model, batch, ctx):
             output = fine
         else:
             target = (
-                np.stack(ctx.frozen_targets[start:stop]) if ctx.frozen_targets
+                np.concatenate(ctx.frozen_targets[start:stop]).reshape(stop - start, -1)
+                if ctx.frozen_targets
                 else target_global_token(labels, subjects, objects, store)
             )
             result = context_forward(fine, *label_dists(model, x), store, target)
@@ -211,19 +213,20 @@ def batch_forward_backward(model, batch, ctx):
             crm_losses, grad_output = curriculum_cross_entropy_rows(
                 output, labels, ctx.class_weights, lambda_rows
             )
-        for loss in crm_losses.sum(axis=-1).tolist():
+        for loss in np.add.reduce(crm_losses, axis=-1).tolist():
             crm_sum += loss
         grad_output *= (1.0 - ctx.alpha) / ctx.n_relations
 
         if not ctx.disable_distillation:
             teacher = (
-                np.stack(ctx.frozen_teachers[start:stop]) if ctx.frozen_teachers
+                np.concatenate(ctx.frozen_teachers[start:stop]).reshape(coarse.shape)
+                if ctx.frozen_teachers
                 else coarse
             )
             kd_losses, kd_grads = head_distillation_rows(
                 teacher, output, ctx.tau, ctx.head_indices
             )
-            for loss in kd_losses.sum(axis=-1).tolist():
+            for loss in np.add.reduce(kd_losses, axis=-1).tolist():
                 kd_sum += loss
             kd_grads *= ctx.mu / ctx.n_relations
             grad_output += kd_grads
@@ -301,7 +304,7 @@ def train(cfg, vocab, train_split, model, eval_instances=None):
         l_total = total_loss(l_hybrid, l_sc, l_kd, cfg.mu)
         breakdown = LossBreakdown(l_ce, l_crm, l_hybrid, l_sc, l_kd, l_total)
         for name in LOSS_NAMES:
-            if not np.isfinite(getattr(breakdown, name)):
+            if not math.isfinite(getattr(breakdown, name)):
                 raise TrainingDiverged(k, name)
         model.store.sgd_step(cfg.learning_rate)
         last = k == sched.total_iterations

@@ -374,6 +374,38 @@ class TestStacks:
             )
             assert result.gap_loss[g] == single.gap_loss
 
+    def test_context_backward(self):
+        """Each image's fine-logits gradient has the bits of its own call; a
+        parameter gradient, one product over the stack's rows, matches the
+        sum of the single-image calls within 1e-12 of its largest entry."""
+        store = make_store(46, randomize_classifier=True)
+        rng = np.random.default_rng(47)
+        fine, subj, obj, gt = stacked_inputs(rng, 3, 4)
+        grad_correction = rng.normal(size=fine.shape)
+        names = [n for n in store.trainable_names() if n.startswith("context.")]
+
+        store.zero_grads()
+        result = context_forward(
+            fine, subj, obj, store, target=target_global_token(*gt, store)
+        )
+        grad_fine = context_backward(result, grad_correction, 0.5, store)
+        stacked = {n: store.grad(n).copy() for n in names}
+
+        store.zero_grads()
+        for g in range(3):
+            single = context_forward(
+                fine[g], subj[g], obj[g], store,
+                target=target_global_token(*(part[g] for part in gt), store),
+            )
+            np.testing.assert_array_equal(
+                grad_fine[g], context_backward(single, grad_correction[g], 0.5, store)
+            )
+        for name in names:
+            reference = store.grad(name)
+            scale = max(float(np.max(np.abs(reference))), 1e-300)
+            error = float(np.max(np.abs(stacked[name] - reference))) / scale
+            assert error <= 1e-12, (name, error)
+
 
 class TestClassSpaceProjection:
     """The ground-truth token and the projection backward against the
